@@ -11,7 +11,8 @@ Weights may come from a file (--file, whitespace-separated tokens, # starts
 a comment).  --json switches to a machine-readable report with big integers
 as decimal strings; --time writes per-phase wall times to standard error;
 --no-lll skips basis reduction.  Exit codes: 0 on success, 1 when a test
-verdict is "no", 2 on invalid input.
+verdict is "no", 2 on invalid input, 3 when a request exceeds a resource
+limit (a Hilbert value whose enumeration box is over the budget).
 """
 
 from __future__ import annotations
@@ -25,7 +26,12 @@ from dataclasses import dataclass, field
 from .arith import Weights, kernel_basis, lll_reduce
 from .frobenius import compute_mp, is_representable
 from .grobner import format_binomial, lattice_groebner
-from .hilbert import HilbertContext, hilbert_value, index_of_regularity
+from .hilbert import (
+    EnumerationTooLarge,
+    HilbertContext,
+    hilbert_value,
+    index_of_regularity,
+)
 from .monideal import format_component, initial_ideal, irreducible_decomposition
 from .order import OrderConfig
 from .arith import pdegree
@@ -223,6 +229,9 @@ def run(argv, stdout=None, stderr=None) -> int:
             for phase in (*PHASES, "total"):
                 print(f"{phase:<11} {timed.timings[phase]:.6f}s", file=err)
         return code
+    except EnumerationTooLarge as e:  # a ValueError, but not invalid input
+        print(str(e), file=err)
+        return 3
     except (_CLIError, ValueError) as e:
         print(str(e), file=err)
         return 2

@@ -12,12 +12,20 @@ whose cheapest variable is x_i, the head of a primitive homogeneous binomial
 is x_i-free, and stripping common variable factors from a basis computed in
 that order realises the quotient by powers of x_i.  The grading is positive,
 so a single pass over all variables suffices.
+
+Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
+(criteria B, M and F and the product criterion, see _buchberger) and drops
+elements whose head a newer head divides.  Division looks reducers up by the
+support bitmask of their heads, so a head that uses a variable the monomial
+lacks is passed over without scanning exponents.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from heapq import heappop, heappush
+from operator import mul
 
 from .arith import (
     Vector,
@@ -71,6 +79,11 @@ class GroebnerBasis:
     def __len__(self) -> int:
         return len(self.elements)
 
+    @cached_property
+    def _reducers(self) -> tuple:
+        """Division data of the elements for normal forms, built on first use."""
+        return tuple(_reducer(g.head, g.tail) for g in self.elements)
+
 
 # -- internal monomial helpers (pairs of plain tuples, no validation) --------
 
@@ -91,6 +104,25 @@ def _orient(u: Vector, v: Vector, key) -> tuple[Vector, Vector] | None:
     return (u, v) if ku > kv else (v, u)
 
 
+def _lcm(a: Vector, b: Vector) -> Vector:
+    return tuple(x if x > y else y for x, y in zip(a, b))
+
+
+def _divides(a: Vector, b: Vector) -> bool:
+    return all(x <= y for x, y in zip(a, b))
+
+
+def _support(v: Vector) -> int:
+    """Bitmask of the coordinates where v is nonzero."""
+    mask = 0
+    bit = 1
+    for a in v:
+        if a:
+            mask |= bit
+        bit <<= 1
+    return mask
+
+
 def _multiplicity(m: Vector, h: Vector) -> int:
     """Largest k with x^(k*h) dividing x^m (0 when h does not divide m)."""
     k = 0
@@ -106,73 +138,157 @@ def _multiplicity(m: Vector, h: Vector) -> int:
     return k
 
 
-def _nf_monomial(m: Vector, basis) -> Vector:
+# A reducer is the division data of one element head -> tail, built once:
+# (support mask of the head, head, tail - head).  x^h can only divide x^m
+# when the head's support lies inside the monomial's, so a reducer whose
+# mask has a bit outside the monomial's mask is skipped with one integer
+# operation instead of a coordinate scan.
+
+
+def _reducer(h: Vector, t: Vector):
+    return _support(h), h, tuple(b - a for a, b in zip(h, t))
+
+
+def _nf_monomial(m: Vector, reducers) -> Vector:
     """Normal form of a monomial: replace by head -> tail while possible.
 
     Each hit applies the reducer with full multiplicity, so the step count
     does not scale with the size of the exponents.
     """
+    outside = ~_support(m)
     while True:
-        for h, t in basis:
+        for mask, h, step in reducers:
+            if mask & outside:
+                continue
             k = _multiplicity(m, h)
             if k:
-                m = tuple(a + k * (ti - hi) for a, hi, ti in zip(m, h, t))
+                m = tuple(a + k * d for a, d in zip(m, step))
+                outside = ~_support(m)
                 break
         else:
             return m
 
 
-def _buchberger(gens, key):
+def _is_reducible(m: Vector, reducers) -> bool:
+    outside = ~_support(m)
+    return any(not mask & outside and _multiplicity(m, h) for mask, h, _ in reducers)
+
+
+def _buchberger(gens, cfg: OrderConfig):
     """Buchberger's algorithm on oriented primitive binomial pairs.
 
-    Pairs are processed by ascending weighted degree of the lcm of the heads
-    (ties by the term order on the lcm, then by insertion index); pairs with
-    coprime heads are skipped.  New remainders are fully reduced and made
-    primitive before insertion.
-    """
-    basis: list[tuple[Vector, Vector]] = []
-    seen: set[tuple[Vector, Vector]] = set()
-    heap: list = []
+    Every insertion of an element k runs the Gebauer-Moeller update:
 
-    def push(h: Vector, t: Vector) -> None:
+    - criterion B drops a queued pair (i, j) when head k divides
+      lcm(i, j) and that lcm differs from both lcm(i, k) and lcm(j, k);
+    - criterion M drops a new pair (i, k) whose lcm is strictly divided by
+      the lcm of another new pair;
+    - criterion F keeps one new pair per lcm, and the product criterion
+      drops every new pair whose lcm equals that of a pair with coprime
+      heads (coprime pairs included);
+    - older elements whose head is divisible by head k leave the basis:
+      they stop reducing and forming pairs, while their queued pairs stay.
+
+    Pairs are processed by ascending term order of the lcm of the heads (ties
+    by the indices of the pair).  Remainders are reduced to normal form by
+    the support-mask lookup (see _reducer) and made primitive before
+    insertion.  Returns the final basis, which is a Groebner basis but not
+    yet reduced.
+    """
+    key = cfg.sort_key
+    p = cfg.weights.entries
+    heads: list[Vector] = []
+    tails: list[Vector] = []
+    active: list[int] = []  # indices of the current basis
+    reducers: list = []  # their reducer data, in the same order
+    pairs: dict[tuple[int, int], tuple[Vector, int]] = {}  # queued: lcm, mask
+    heap: list = []
+    seen: set[tuple[Vector, Vector]] = set()
+
+    def insert(h: Vector, t: Vector) -> None:
         if (h, t) in seen:
             return
         seen.add((h, t))
-        idx = len(basis)
-        for i in range(idx):
-            hi = basis[i][0]
-            lcm = tuple(max(a, b) for a, b in zip(hi, h))
-            heappush(heap, (key(lcm), i, idx))
-        basis.append((h, t))
+        k = len(heads)
+        mk = _support(h)
+
+        # criterion B on the queued pairs
+        doomed = [
+            (i, j)
+            for (i, j), (lcm, lmask) in pairs.items()
+            if not mk & ~lmask
+            and _divides(h, lcm)
+            and _lcm(heads[i], h) != lcm
+            and _lcm(heads[j], h) != lcm
+        ]
+        for ij in doomed:
+            del pairs[ij]
+
+        # criterion M on the new pairs.  lcm(i, k) = h + q_i with q_i the
+        # excess of head i over h, so lcm(j, k) divides lcm(i, k) exactly
+        # when q_j <= q_i.  Sorted by degree, a strict divisor comes first
+        # and equal lcms are adjacent.
+        new = sorted(
+            (sum(map(mul, q, p)), q, i, _support(q), not r[0] & mk)
+            for i, r in zip(active, reducers)
+            for q in (tuple(a - b if a > b else 0 for a, b in zip(r[1], h)),)
+        )
+        groups: list[list] = []  # one per lcm that survives M
+        for _, q, i, qmask, coprime in new:
+            if groups and groups[-1][0] == q:
+                groups[-1][3] |= coprime
+            elif not any(
+                not g[2] & ~qmask and all(x <= y for x, y in zip(g[0], q))
+                for g in groups
+            ):
+                groups.append([q, i, qmask, coprime])
+        # criterion F keeps the first pair of each lcm; the product criterion
+        # drops the lcm when any of its pairs is coprime
+        for q, i, _, coprime in groups:
+            if not coprime:
+                lcm = tuple(a + b for a, b in zip(h, q))
+                pairs[(i, k)] = (lcm, _support(lcm))
+                heappush(heap, (key(lcm), i, k))
+
+        # older elements with a head divisible by h leave the basis
+        kept = [
+            (i, r)
+            for i, r in zip(active, reducers)
+            if mk & ~r[0] or not _divides(h, r[1])
+        ]
+        active[:] = [i for i, _ in kept] + [k]
+        reducers[:] = [r for _, r in kept] + [_reducer(h, t)]
+        heads.append(h)
+        tails.append(t)
 
     for h, t in gens:
-        push(h, t)
+        insert(h, t)
 
     while heap:
         _, i, j = heappop(heap)
-        (hf, tf), (hg, tg) = basis[i], basis[j]
-        if all(a == 0 or b == 0 for a, b in zip(hf, hg)):
-            continue
-        lcm = tuple(max(a, b) for a, b in zip(hf, hg))
-        u = tuple(l - a + b for l, a, b in zip(lcm, hf, tf))
-        v = tuple(l - a + b for l, a, b in zip(lcm, hg, tg))
-        u = _nf_monomial(u, basis)
-        v = _nf_monomial(v, basis)
-        if u == v:
-            continue
-        oriented = _orient(u, v, key)
-        push(*_strip(*oriented))
-    return basis
+        queued = pairs.pop((i, j), None)
+        if queued is None:
+            continue  # dropped by criterion B
+        lcm = queued[0]
+        u = tuple(l - a + b for l, a, b in zip(lcm, heads[i], tails[i]))
+        v = tuple(l - a + b for l, a, b in zip(lcm, heads[j], tails[j]))
+        u = _nf_monomial(u, reducers)
+        v = _nf_monomial(v, reducers)
+        if u != v:
+            insert(*_strip(*_orient(u, v, key)))
+    return [(heads[i], tails[i]) for i in active]
 
 
 def _interreduce(basis, key):
     """Minimalize heads, then reduce every tail to its normal form."""
     items = sorted(set(basis), key=lambda b: (key(b[0]), key(b[1])))
     kept: list[tuple[Vector, Vector]] = []
+    reducers: list = []
     for h, t in items:
-        if not any(_multiplicity(h, h2) for h2, _ in kept):
+        if not _is_reducible(h, reducers):
             kept.append((h, t))
-    return [(h, _nf_monomial(t, kept)) for h, t in kept]
+            reducers.append(_reducer(h, t))
+    return [(h, _nf_monomial(t, reducers)) for h, t in kept]
 
 
 def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
@@ -201,14 +317,15 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     passes = [v for v in range(1, n + 1) if v != cfg.revlex_variable]
     passes.append(cfg.revlex_variable)
     for var in passes:
-        key = cfg.with_revlex(var).sort_key
+        pass_cfg = cfg.with_revlex(var)
+        key = pass_cfg.sort_key
         oriented = []
         for a, b in cur:
             pair = _orient(a, b, key)
             if pair is None:
                 continue
             oriented.append(_strip(*pair))
-        cur = _interreduce(_buchberger(oriented, key), key)
+        cur = _interreduce(_buchberger(oriented, pass_cfg), key)
 
     basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
     validate_basis(basis)
@@ -270,7 +387,7 @@ def normal_form(m: Vector, G: GroebnerBasis) -> Vector:
         raise ValueError(f"expected a vector of dimension {n}, got {len(m)}")
     if any(x < 0 for x in m):
         raise ValueError("normal_form expects a nonnegative exponent vector")
-    return _nf_monomial(m, [(g.head, g.tail) for g in G.elements])
+    return _nf_monomial(m, G._reducers)
 
 
 def reduce_binomial(a: Vector, G: GroebnerBasis) -> tuple[Vector, Vector]:

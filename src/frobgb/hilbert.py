@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .arith import Weights, pdegree
-from .monideal import MonomialIdeal, irreducible_decomposition
+from .monideal import MonomialIdeal, _check_head_shape, irreducible_decomposition
 
 __all__ = ["EnumerationTooLarge", "HilbertContext", "hilbert_value", "index_of_regularity"]
 
@@ -36,15 +36,7 @@ class HilbertContext:
     def __post_init__(self) -> None:
         if self.ideal.n != self.weights.n:
             raise ValueError("ideal and weights have different dimensions")
-        for g in self.ideal.generators:
-            if g[0] != 0:
-                raise ValueError("ideal has a generator divisible by the first variable")
-        for i in range(1, self.ideal.n):
-            if not any(
-                g[i] and all(x == 0 for j, x in enumerate(g) if j != i)
-                for g in self.ideal.generators
-            ):
-                raise ValueError(f"no pure power of variable {i + 1} among the generators")
+        _check_head_shape(self.ideal)
 
 
 def hilbert_value(ctx: HilbertContext, t: int) -> int:

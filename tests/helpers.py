@@ -1,10 +1,11 @@
-"""Shared checks: exact lattice comparisons, reduction certificates, and
-random instance generation.  Everything here is independent of the library
-internals so it can act as a referee."""
+"""Shared checks: exact lattice comparisons, reduction certificates, random
+instance generation, and a reference Buchberger.  Everything here is
+independent of the library internals so it can act as a referee."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
 
@@ -128,3 +129,102 @@ def random_weights(rng, n_lo, n_hi, lo, hi):
             g = gcd(g, w)
         if g == 1:
             return entries
+
+
+# -- reference Buchberger ----------------------------------------------------
+#
+# The plain all-pairs binomial Buchberger that lattice_groebner used before
+# it gained pair criteria and a reducer lookup: every pair of inserted
+# elements is queued (only coprime heads are skipped), and every inserted
+# element stays a reducer.  The reduced basis is unique, so the library's
+# faster loop must return exactly the same elements.
+
+
+def _ref_strip(h, t):
+    m = tuple(min(a, b) for a, b in zip(h, t))
+    return tuple(a - b for a, b in zip(h, m)), tuple(a - b for a, b in zip(t, m))
+
+
+def _ref_orient(u, v, key):
+    ku, kv = key(u), key(v)
+    if ku == kv:
+        return None
+    return (u, v) if ku > kv else (v, u)
+
+
+def _ref_divides(h, m):
+    return all(a <= b for a, b in zip(h, m))
+
+
+def _ref_nf(m, basis):
+    while True:
+        for h, t in basis:
+            if _ref_divides(h, m):
+                k = min(b // a for a, b in zip(h, m) if a)
+                m = tuple(x + k * (b - a) for x, a, b in zip(m, h, t))
+                break
+        else:
+            return m
+
+
+def _ref_buchberger(gens, key):
+    basis = []
+    seen = set()
+    heap = []
+
+    def push(h, t):
+        if (h, t) in seen:
+            return
+        seen.add((h, t))
+        j = len(basis)
+        for i, (hi, _) in enumerate(basis):
+            lcm = tuple(max(a, b) for a, b in zip(hi, h))
+            heappush(heap, (key(lcm), i, j))
+        basis.append((h, t))
+
+    for h, t in gens:
+        push(h, t)
+    while heap:
+        _, i, j = heappop(heap)
+        (hf, tf), (hg, tg) = basis[i], basis[j]
+        if all(a == 0 or b == 0 for a, b in zip(hf, hg)):
+            continue
+        lcm = tuple(max(a, b) for a, b in zip(hf, hg))
+        u = _ref_nf(tuple(l - a + b for l, a, b in zip(lcm, hf, tf)), basis)
+        v = _ref_nf(tuple(l - a + b for l, a, b in zip(lcm, hg, tg)), basis)
+        if u != v:
+            push(*_ref_strip(*_ref_orient(u, v, key)))
+    return basis
+
+
+def _ref_interreduce(basis, key):
+    items = sorted(set(basis), key=lambda b: (key(b[0]), key(b[1])))
+    kept = []
+    for h, t in items:
+        if not any(_ref_divides(h2, h) for h2, _ in kept):
+            kept.append((h, t))
+    return [(h, _ref_nf(t, kept)) for h, t in kept]
+
+
+def reference_groebner(rows, cfg):
+    """Reduced basis of the saturated lattice ideal of the kernel rows under
+    cfg, as a list of (head, tail) pairs in ascending head order.
+
+    Saturates one variable per pass, the order's own cheapest variable
+    last, exactly as lattice_groebner does; only the order's sort key is
+    borrowed from the library."""
+    n = len(cfg.weights.entries)
+    cur = [
+        (tuple(max(x, 0) for x in r), tuple(max(-x, 0) for x in r)) for r in rows
+    ]
+    passes = [v for v in range(1, n + 1) if v != cfg.revlex_variable]
+    passes.append(cfg.revlex_variable)
+    for var in passes:
+        key = cfg.with_revlex(var).sort_key
+        oriented = []
+        for a, b in cur:
+            pair = _ref_orient(a, b, key)
+            if pair is not None:
+                oriented.append(_ref_strip(*pair))
+        cur = _ref_interreduce(_ref_buchberger(oriented, key), key)
+    return cur

@@ -75,6 +75,14 @@ def test_invalid_inputs_exit_2():
     assert len(invoke("number", "4", "6")[2].splitlines()) == 1
 
 
+def test_resource_limit_exits_3():
+    code, out, err = invoke("hilbert", "--t", "100000000", "2", "3")
+    assert (code, out) == (3, "")
+    assert "over the limit" in err and len(err.splitlines()) == 1
+    # a small degree on the same weights stays within the budget
+    assert invoke("hilbert", "--t", "7", "2", "3")[:2] == (0, "1\n")
+
+
 def test_file_input(tmp_path):
     path = tmp_path / "weights.txt"
     path.write_text("6 10 # the first two\n15\n# trailing comment\n")

@@ -31,7 +31,7 @@ from frobgb import (
 from frobgb.arith import negative_part, positive_part
 from frobgb.order import EQ, LT
 
-from helpers import dot, integer_combination, random_weights
+from helpers import dot, integer_combination, random_weights, reference_groebner
 
 SEED = 550123
 
@@ -284,3 +284,41 @@ def test_rendering():
     assert format_monomial((0, 1, 0)) == "x2"
     assert format_binomial(Binomial((0, 0, 2), (0, 3, 0))) == "x3^2 - x2^3"
     assert format_binomial(Binomial((0, 1), (3, 0))) == "x2 - x1^3"
+
+
+def test_matches_the_all_pairs_reference(pool):
+    # the pair criteria and the reducer lookup must not change any basis
+    for inst in pool:
+        for tie_break in ("revlex", "lex"):
+            for rv in range(1, inst.p.n + 1):
+                cfg = OrderConfig(inst.p, revlex_variable=rv, tie_break=tie_break)
+                G = lattice_groebner(inst.p, inst.reduced_rows, cfg)
+                expected = reference_groebner(inst.reduced_rows, cfg)
+                assert [(g.head, g.tail) for g in G.elements] == expected, cfg
+
+
+def test_saturation_matches_sympy():
+    # an ideal check independent of our Buchberger: sympy saturates the
+    # kernel-row ideal I by eliminating t from I + <1 - t*x1*...*xn>, and
+    # equal ideals have equal reduced bases in sympy's grevlex
+    sympy = pytest.importorskip("sympy")
+
+    def binomial(xs, v):
+        return sympy.Mul(*(x**a for x, a in zip(xs, v) if a > 0)) - sympy.Mul(
+            *(x**-a for x, a in zip(xs, v) if a < 0)
+        )
+
+    rng = random.Random(SEED + 6)
+    for _ in range(20):
+        p = Weights(random_weights(rng, 3, 4, 2, 15))
+        xs = sympy.symbols(f"x1:{p.n + 1}")
+        t = sympy.Symbol("t")
+        rows = lll_reduce(kernel_basis(p))
+        gens = [binomial(xs, r) for r in rows] + [1 - t * sympy.Mul(*xs)]
+        elim = sympy.groebner(gens, t, *xs, order="lex")
+        saturation = [g for g in elim.exprs if not g.has(t)]
+        expected = sympy.groebner(saturation, *xs, order="grevlex").exprs
+        for rv in range(1, p.n + 1):
+            G = lattice_groebner(p, rows, OrderConfig(p, revlex_variable=rv))
+            ours = [binomial(xs, g.vector) for g in G.elements]
+            assert sympy.groebner(ours, *xs, order="grevlex").exprs == expected, (p, rv)
