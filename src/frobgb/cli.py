@@ -141,8 +141,8 @@ def _pipeline(p: Weights, timed: _Timed, use_lll: bool):
 
 
 def _corners_max(p, G, timed) -> int:
-    comps = timed.run("extraction", irreducible_decomposition, initial_ideal(G), p)
-    return max(pdegree(tuple(x - 1 for x in v), p) for v in comps)
+    corners = timed.run("extraction", compute_mp, p, G)
+    return max(pdegree(a, p) for a in corners)
 
 
 def run(argv, stdout=None, stderr=None) -> int:

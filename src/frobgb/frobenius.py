@@ -4,9 +4,9 @@ and the Frobenius number (the largest integer outside the semigroup).
 An integer t >= 0 is representable exactly when the division of the signed
 solution from solve_degree by the kernel basis ends in a nonnegative vector;
 that vector is then a witness.  The Frobenius number is the largest weighted
-degree over the corner vectors of the staircase of the head ideal, obtained
-either from the irreducible decomposition of the head ideal (default) or by
-direct enumeration (reference path).
+degree over the corner vectors of the staircase of the head ideal; the
+corners are the irreducible components of the head ideal shifted by -1 in
+every coordinate, so they come from the one staircase walk in monideal.
 """
 
 from __future__ import annotations
@@ -77,70 +77,32 @@ def compute_mp(p: Weights | Iterable[int], G: GroebnerBasis) -> frozenset[Vector
     is.  Their weighted degrees are exactly the non-representable integers
     maximal in that pointwise sense; the largest is the Frobenius number.
 
-    Each a_i + 1 must occur as an x_i exponent of some head, so candidates
-    are enumerated from head exponents.  When some weight is 1 every integer
-    >= 0 is representable and the set is empty.
+    The corners are the irreducible components of the head ideal shifted by
+    -1 in every coordinate.  When some weight is 1 every integer >= 0 is
+    representable and the set is empty.
     """
     p = as_weights(p)
     _check_match(p, G)
     if any(w == 1 for w in p.entries):
         return frozenset()
-    n = p.n
-    heads = G.heads()
-    candidates = [sorted({h[i] - 1 for h in heads if h[i]}) for i in range(1, n)]
-    if any(not c for c in candidates):
-        raise AssertionError("head ideal lacks a pure power of some variable")
-
-    out: list[Vector] = []
-    a = [0] * n
-    a[0] = -1
-
-    def reducible_partial(upto: int) -> bool:
-        # heads supported on assigned coordinates decide all completions
-        for h in heads:
-            if all(x == 0 for x in h[upto + 1 :]) and all(
-                h[j] <= a[j] for j in range(1, upto + 1)
-            ):
-                return True
-        return False
-
-    def walk(i: int) -> None:
-        if i == n:
-            for j in range(1, n):
-                a[j] += 1
-                covered = any(
-                    all(h[k] <= (a[k] if k else 0) for k in range(n)) for h in heads
-                )
-                a[j] -= 1
-                if not covered:
-                    return
-            out.append((-1,) + tuple(a[1:]))
-            return
-        for val in candidates[i - 1]:
-            a[i] = val
-            if not reducible_partial(i):
-                walk(i + 1)
-        a[i] = 0
-
-    walk(1)
-    return frozenset(out)
+    comps = irreducible_decomposition(initial_ideal(G), p)
+    return frozenset(tuple(x - 1 for x in v) for v in comps)
 
 
 def frobenius_number(
     p: Weights | Iterable[int],
     *,
     use_lll: bool = True,
-    route: str = "decomposition",
     tie_break: str = "revlex",
 ) -> int:
     """The largest integer that is not representable; -1 when every
     nonnegative integer is (single weight, or some weight equal to 1).
 
     Accepts a Weights instance or any iterable of positive coprime integers.
-    The default route reads the corners off the irreducible decomposition of
-    the head ideal; route="direct" enumerates them from the heads instead.
-    Both routes agree, as do bases built with or without LLL reduction and
-    with either tie-break completion.
+    f* is the largest weighted degree of a staircase corner (compute_mp),
+    read off the irreducible decomposition of the head ideal.  Bases built
+    with or without LLL reduction and with either tie-break completion give
+    the same value.
     """
     p = as_weights(p)
     if p.n == 1 or any(w == 1 for w in p.entries):
@@ -149,14 +111,7 @@ def frobenius_number(
     basis = kernel_basis(p)
     if use_lll:
         basis = lll_reduce(basis)
-    G = lattice_groebner(p, basis, cfg)
-    if route == "decomposition":
-        comps = irreducible_decomposition(initial_ideal(G), p)
-        corners = [tuple(x - 1 for x in v) for v in comps]
-    elif route == "direct":
-        corners = list(compute_mp(p, G))
-    else:
-        raise ValueError(f"unknown route {route!r}")
+    corners = compute_mp(p, lattice_groebner(p, basis, cfg))
     if not corners:
         raise AssertionError("staircase corner set is empty for coprime weights >= 2")
     return max(pdegree(a, p) for a in corners)

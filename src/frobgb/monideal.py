@@ -7,11 +7,15 @@ plain tuples.
 
 The main decomposition path targets head ideals of kernel lattice bases:
 generators free of the first variable and, for every other variable, some
-pure power present.  Components of such an ideal have first coordinate 0 and
-each remaining coordinate equal to some generator exponent, so candidates
-can be enumerated from the generators and filtered by two membership tests.
-A splitting-based path for arbitrary proper monomial ideals is provided as
-an independent cross-check.
+pure power present.  Components of such an ideal are its maximal standard
+monomials m shifted by one: m is outside I while every m + e_j, j >= 2, is
+inside.  Each coordinate of a component is therefore some generator
+exponent, and each j needs a witness generator g with g_j = m_j + 1 and
+g_k <= m_k elsewhere.  The walk assigns the coordinates in turn, tests
+membership only against the generators whose last nonzero coordinate was
+just assigned, and prunes a partial assignment as soon as some assigned
+coordinate has no witness left.  A splitting-based path for arbitrary proper
+monomial ideals is provided as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -146,7 +150,22 @@ def irreducible_decomposition(I: MonomialIdeal, p: Weights) -> frozenset[Vector]
 
     Components v have v_1 = 0 and v_i drawn from generator exponents; v is a
     component exactly when the shifted monomial m with m_1 = 0, m_i = v_i - 1
-    is outside I while every m + e_i, i >= 2, lies inside.
+    is outside I while every m + e_j, j >= 2, lies inside.  Given m outside
+    I, m + e_j lies inside exactly when some generator g is a witness for j:
+    g_j = m_j + 1 and g_k <= m_k for every k != j.
+
+    The walk assigns m_2, ..., m_n in turn.  After assigning m_i it tests
+    membership against the generators whose last nonzero coordinate is i
+    (the others were tested at their own level, or cannot be decided yet),
+    and stops the ascending candidate loop at the first value inside I,
+    since every larger one is inside too.  It then keeps, for every assigned
+    j <= i, the witnesses for j that still fit the assigned coordinates, and
+    prunes when some j has none left.  A free coordinate k > i reaches at
+    most a_k - 1, where x_k^(a_k) is the pure power, and every generator
+    other than that pure power already has g_k < a_k, so free coordinates
+    never rule a witness out.  At the last level every j has a witness, so
+    each leaf is a component.  Generator sets are bit masks over the
+    generators.
     """
     if I.n != p.n:
         raise ValueError("ideal and weights have different dimensions")
@@ -155,38 +174,49 @@ def irreducible_decomposition(I: MonomialIdeal, p: Weights) -> frozenset[Vector]
     _check_head_shape(I)
     n = I.n
     gens = I.sorted_generators()
-    candidates = [sorted({g[i] for g in gens if g[i]}) for i in range(1, n)]
+    candidates = [sorted({g[i] for g in gens if g[i]}) for i in range(n)]
+
+    # ending[i]: generators whose last nonzero coordinate is i.
+    # exact[i][c]: generators with g_i == c, the witnesses for m_i = c - 1.
+    # below[i][c]: generators with g_i < c, i.e. g_i <= m_i for m_i = c - 1.
+    ending = [0] * n
+    exact: list[dict[int, int]] = [{} for _ in range(n)]
+    below: list[dict[int, int]] = [{} for _ in range(n)]
+    for b, g in enumerate(gens):
+        bit = 1 << b
+        ending[max(i for i in range(n) if g[i])] |= bit
+        for i in range(1, n):
+            exact[i][g[i]] = exact[i].get(g[i], 0) | bit
+    for i in range(1, n):
+        acc = exact[i].get(0, 0)
+        for c in candidates[i]:
+            below[i][c] = acc
+            acc |= exact[i][c]
 
     out: list[Vector] = []
-    m = [0] * n
+    v = [0] * n
 
-    def in_ideal_partial(upto: int) -> bool:
-        # True when some generator supported on assigned coordinates (1..upto)
-        # divides the partial monomial, forcing every completion into I.
-        for g in gens:
-            if all(x == 0 for x in g[upto + 1 :]) and all(
-                g[j] <= m[j] for j in range(1, upto + 1)
-            ):
-                return True
-        return False
-
-    def walk(i: int) -> None:
+    def walk(i: int, divides: int, witnesses: list[int]) -> None:
+        # divides: generators with g_k <= m_k for every assigned k;
+        # witnesses: for each assigned j in turn, its witnesses that fit
+        # every assigned k != j.
         if i == n:
-            for j in range(1, n):
-                m[j] += 1
-                inside = any(_divides(g, m) for g in gens)
-                m[j] -= 1
-                if not inside:
-                    return
-            out.append(tuple(0 if j == 0 else m[j] + 1 for j in range(n)))
+            out.append(tuple(v))
             return
-        for val in candidates[i - 1]:
-            m[i] = val - 1
-            if not in_ideal_partial(i):
-                walk(i + 1)
-        m[i] = 0
+        for c in candidates[i]:
+            fits = below[i][c]
+            inner = divides & fits
+            if inner & ending[i]:
+                break
+            own = exact[i][c] & divides
+            if not own:
+                continue
+            kept = [w & fits for w in witnesses]
+            if all(kept):
+                v[i] = c
+                walk(i + 1, inner, kept + [own])
 
-    walk(1)
+    walk(1, (1 << len(gens)) - 1, [])
     return frozenset(out)
 
 

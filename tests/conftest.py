@@ -17,7 +17,6 @@ from frobgb import (
     AperyTable,
     OrderConfig,
     Weights,
-    compute_mp,
     initial_ideal,
     irreducible_decomposition,
     kernel_basis,
@@ -63,10 +62,6 @@ class Instance:
     @cached_property
     def components(self):
         return irreducible_decomposition(self.ideal, self.p)
-
-    @cached_property
-    def corners(self):
-        return compute_mp(self.p, self.gb)
 
     @cached_property
     def fstar(self):

@@ -1,6 +1,7 @@
 """Shared checks: exact lattice comparisons, reduction certificates, random
-instance generation, and a reference Buchberger.  Everything here is
-independent of the library internals so it can act as a referee."""
+instance generation, a reference Buchberger and a reference staircase walk.
+Everything here is independent of the library internals so it can act as a
+referee."""
 
 from __future__ import annotations
 
@@ -228,3 +229,52 @@ def reference_groebner(rows, cfg):
                 oriented.append(_ref_strip(*pair))
         cur = _ref_interreduce(_ref_buchberger(oriented, key), key)
     return cur
+
+
+# -- reference staircase walk ------------------------------------------------
+#
+# The walk irreducible_decomposition used before it gained the last-coordinate
+# index and the witness prune: every candidate exponent of every coordinate is
+# tried, each partial assignment is tested against all generators, and each
+# leaf is tested by bumping every coordinate in turn.
+
+
+def reference_decomposition(I):
+    """Irreducible components of a head-shaped monomial ideal I (generators
+    free of x_1, a pure power of every other variable), by the plain walk
+    over the shifted monomials m = v - 1."""
+    n = I.n
+    gens = I.sorted_generators()
+    candidates = [sorted({g[i] for g in gens if g[i]}) for i in range(1, n)]
+
+    out = []
+    m = [0] * n
+
+    def in_ideal_partial(upto):
+        # True when some generator supported on assigned coordinates (1..upto)
+        # divides the partial monomial, forcing every completion into I.
+        for g in gens:
+            if all(x == 0 for x in g[upto + 1 :]) and all(
+                g[j] <= m[j] for j in range(1, upto + 1)
+            ):
+                return True
+        return False
+
+    def walk(i):
+        if i == n:
+            for j in range(1, n):
+                m[j] += 1
+                inside = any(_ref_divides(g, m) for g in gens)
+                m[j] -= 1
+                if not inside:
+                    return
+            out.append(tuple(0 if j == 0 else m[j] + 1 for j in range(n)))
+            return
+        for val in candidates[i - 1]:
+            m[i] = val - 1
+            if not in_ideal_partial(i):
+                walk(i + 1)
+        m[i] = 0
+
+    walk(1)
+    return frozenset(out)

@@ -8,9 +8,10 @@ the measured numbers, visible under -s or in captured output).
  4. is_representable matches the oracle on whole windows, witnesses verified
  5. structural invariants hold on every computed basis
  6. 1000 reducibility checks on oracle-representable signed vectors
- 7. shifted corner vectors equal the irreducible decomposition, certified
+ 7. the irreducible decomposition equals the reference walk's, certified
  8. Hilbert values are 0/1 indicators of representability; regularity f*+1
- 9. a 25-digit 4-weight instance is self-consistent within the time budget
+ 9. a 25-digit 4-weight instance is self-consistent within the time budget,
+    and the 6-weight, 6-digit wall instance matches the oracle in time
 10. reduction and tie-break choices never change results
 """
 
@@ -29,6 +30,7 @@ from frobgb import (
     HilbertContext,
     OrderConfig,
     Weights,
+    apery_frobenius,
     compare,
     component_ideal,
     contains_monomial,
@@ -48,7 +50,7 @@ from frobgb import (
 from frobgb.cli import run
 from frobgb.order import LT
 
-from helpers import dot
+from helpers import dot, reference_decomposition
 
 SEED = 87512040
 
@@ -162,9 +164,8 @@ def test_c06_reducibility_of_representable_signed_vectors(pool):
 def test_c07_corners_equal_decomposition(pool):
     grids = 0
     for inst in pool:
-        shifted = {tuple(x + 1 for x in a) for a in inst.corners}
         comps = inst.components
-        assert shifted == comps, inst.p.entries
+        assert comps == reference_decomposition(inst.ideal), inst.p.entries
 
         # exact intersection equality of the decomposition
         acc = None
@@ -198,7 +199,7 @@ def test_c07_corners_equal_decomposition(pool):
                 )
     report(
         "criterion 7",
-        f"corner/decomposition match on {len(pool)} instances"
+        f"decomposition matches the reference walk on {len(pool)} instances"
         f" ({grids} verified pointwise on full grids)",
     )
 
@@ -255,6 +256,18 @@ def test_c09_self_consistency_at_scale():
         f"25-digit n=4 instance: f* has {len(str(fstar))} digits, gap at f*,"
         f" 1000 verified witnesses above, {elapsed:.2f}s",
     )
+
+
+def test_c09_six_weight_wall():
+    # six 6-digit weights; the unpruned staircase walk ran for minutes here
+    entries = (257944, 678733, 891319, 506944, 373844, 292562)
+    start = time.perf_counter()
+    fstar = frobenius_number(entries)
+    elapsed = time.perf_counter() - start
+    assert fstar == 20546661
+    assert fstar == apery_frobenius(entries)
+    assert elapsed < 60.0
+    report("criterion 9 wall", f"n=6 wall instance: f* = {fstar} in {elapsed:.2f}s")
 
 
 @pytest.mark.skipif(

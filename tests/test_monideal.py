@@ -2,7 +2,9 @@
 
 Decompositions are certified three ways: pointwise membership on a grid,
 exact equality of the generator sets of the recomputed intersection, and a
-constructed witness monomial per component for irredundancy.
+constructed witness monomial per component for irredundancy.  The pruned
+staircase walk is also compared with the plain reference walk and with the
+general splitting decomposition.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ from frobgb import (
 )
 from frobgb.monideal import minimalize
 
+from helpers import reference_decomposition
 from test_grobner import make_gb
 
 SEED = 331144
@@ -195,6 +198,45 @@ def test_general_decomposition_agrees_with_staircase_path():
         assert irreducible_decomposition(I, p) == irreducible_decomposition_general(I)
     with pytest.raises(ValueError, match="unit"):
         irreducible_decomposition_general(MonomialIdeal(2, frozenset({(0, 0)})))
+
+
+def random_head_ideal(rng, n):
+    """A head-shaped ideal that no Groebner basis produced: a pure power of
+    every variable but x_1, plus random generators free of x_1 with small
+    exponents and a few zeros, so many generators share an exponent and
+    witness sets have ties."""
+    powers = [rng.randint(2, 6) for _ in range(n - 1)]
+    gens = []
+    for i, a in enumerate(powers, start=1):
+        g = [0] * n
+        g[i] = a
+        gens.append(tuple(g))
+    for _ in range(rng.randint(1, 6 * n)):
+        g = (0,) + tuple(
+            0 if rng.random() < 0.3 else rng.randint(1, a - 1) for a in powers
+        )
+        if any(g):
+            gens.append(g)
+    return MonomialIdeal(n, minimalize(gens))
+
+
+def test_decomposition_matches_reference_on_pool(pool):
+    for inst in pool:
+        assert inst.components == reference_decomposition(inst.ideal), inst.p.entries
+
+
+def test_decomposition_matches_reference_on_random_head_ideals():
+    rng = random.Random(SEED + 2)
+    general_checked = 0
+    for k in range(300):
+        n = 2 + k % 5
+        I = random_head_ideal(rng, n)
+        comps = irreducible_decomposition(I, Weights((1,) * n))
+        assert comps == reference_decomposition(I), sorted(I.generators)
+        if n <= 5 and len(I.generators) <= 10:
+            assert comps == irreducible_decomposition_general(I), sorted(I.generators)
+            general_checked += 1
+    assert general_checked >= 200
 
 
 def test_format_component():
