@@ -23,7 +23,7 @@ from .arith import (
 )
 from .frobenius import (
     RepresentabilityResult,
-    compute_mp,
+    Solution,
     frobenius_number,
     is_representable,
 )
@@ -64,12 +64,12 @@ __all__ = [
     "OracleScaleExceeded",
     "OrderConfig",
     "RepresentabilityResult",
+    "Solution",
     "Weights",
     "apery_frobenius",
     "as_weights",
     "compare",
     "component_ideal",
-    "compute_mp",
     "contains_monomial",
     "divides",
     "dp_representable",

@@ -13,6 +13,9 @@ as decimal strings; --time writes per-phase wall times to standard error;
 --no-lll skips basis reduction.  Exit codes: 0 on success, 1 when a test
 verdict is "no", 2 on invalid input, 3 when a request exceeds a resource
 limit (a Hilbert value whose enumeration box is over the budget).
+
+Each subcommand builds one frobenius.Solution and formats what it reads
+from it; the phase times come from the Solution's timings.
 """
 
 from __future__ import annotations
@@ -21,24 +24,19 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 
-from .arith import Weights, kernel_basis, lll_reduce
-from .frobenius import compute_mp, is_representable
-from .grobner import format_binomial, lattice_groebner
+from .arith import Weights
+from .frobenius import Solution, is_representable
+from .grobner import format_binomial
 from .hilbert import (
     EnumerationTooLarge,
     HilbertContext,
     hilbert_value,
     index_of_regularity,
 )
-from .monideal import format_component, initial_ideal, irreducible_decomposition
-from .order import OrderConfig
-from .arith import pdegree
+from .monideal import format_component
 
-__all__ = ["main", "run", "RunReport"]
-
-PHASES = ("basis", "reduction", "groebner", "extraction")
+__all__ = ["main", "run"]
 
 
 class _CLIError(Exception):
@@ -48,25 +46,6 @@ class _CLIError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep diagnostics to one line and our exit codes
         raise _CLIError(message)
-
-
-@dataclass
-class RunReport:
-    """What a CLI invocation computed, plus wall time per phase."""
-
-    command: str
-    weights: tuple[int, ...]
-    payload: dict = field(default_factory=dict)
-    timings: dict = field(default_factory=dict)
-
-    def to_json(self) -> str:
-        doc = {
-            "command": self.command,
-            "p": [str(w) for w in self.weights],
-            **self.payload,
-            "elapsed": {k: round(v, 6) for k, v in self.timings.items()},
-        }
-        return json.dumps(doc)
 
 
 def _build_parser() -> _Parser:
@@ -122,29 +101,6 @@ def _parse_t(args) -> int:
         raise _CLIError(f"not an integer: {args.t!r}")
 
 
-class _Timed:
-    def __init__(self):
-        self.timings = {k: 0.0 for k in PHASES}
-
-    def run(self, phase, fn, *fargs):
-        start = time.perf_counter()
-        out = fn(*fargs)
-        self.timings[phase] += time.perf_counter() - start
-        return out
-
-
-def _pipeline(p: Weights, timed: _Timed, use_lll: bool):
-    basis = timed.run("basis", kernel_basis, p)
-    if use_lll:
-        basis = timed.run("reduction", lll_reduce, basis)
-    return timed.run("groebner", lattice_groebner, p, basis, OrderConfig(p))
-
-
-def _corners_max(p, G, timed) -> int:
-    corners = timed.run("extraction", compute_mp, p, G)
-    return max(pdegree(a, p) for a in corners)
-
-
 def run(argv, stdout=None, stderr=None) -> int:
     """Execute one CLI invocation; returns the exit code."""
     out = stdout if stdout is not None else sys.stdout
@@ -153,27 +109,22 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         p = _read_weights(args)
-        timed = _Timed()
-        report = RunReport(args.command, p.entries, timings=timed.timings)
+        sol = Solution(p, use_lll=not args.no_lll)
         code = 0
+        payload: dict = {}
         lines: list[str] = []
 
         if args.command == "number":
-            if p.n == 1 or any(w == 1 for w in p.entries):
-                fstar = -1
-            else:
-                G = _pipeline(p, timed, not args.no_lll)
-                fstar = _corners_max(p, G, timed)
-            report.payload["frobenius"] = str(fstar)
+            fstar = sol.frobenius
+            payload["frobenius"] = str(fstar)
             lines.append(str(fstar))
 
         elif args.command == "test":
             t = _parse_t(args)
-            G = _pipeline(p, timed, not args.no_lll)
-            res = timed.run("extraction", is_representable, p, t, G)
-            report.payload["t"] = str(t)
-            report.payload["representable"] = res.representable
-            report.payload["witness"] = (
+            res = sol.timed("extraction", is_representable, p, t, sol.basis)
+            payload["t"] = str(t)
+            payload["representable"] = res.representable
+            payload["witness"] = (
                 [str(x) for x in res.witness] if res.representable else None
             )
             if res.representable:
@@ -183,8 +134,8 @@ def run(argv, stdout=None, stderr=None) -> int:
                 code = 1
 
         elif args.command == "gb":
-            G = _pipeline(p, timed, not args.no_lll)
-            report.payload["basis"] = [
+            G = sol.basis
+            payload["basis"] = [
                 {
                     "head": [str(x) for x in g.head],
                     "tail": [str(x) for x in g.tail],
@@ -195,39 +146,39 @@ def run(argv, stdout=None, stderr=None) -> int:
             lines.extend(format_binomial(g) for g in G.elements)
 
         elif args.command == "decomp":
-            G = _pipeline(p, timed, not args.no_lll)
-            comps = timed.run(
-                "extraction", irreducible_decomposition, initial_ideal(G), p
-            )
-            ordered = sorted(comps)
-            report.payload["components"] = [[str(x) for x in v] for v in ordered]
+            ordered = sorted(sol.components)
+            payload["components"] = [[str(x) for x in v] for v in ordered]
             lines.extend(format_component(v) for v in ordered)
 
         elif args.command == "hilbert":
             t = _parse_t(args)
-            G = _pipeline(p, timed, not args.no_lll)
-            ctx = HilbertContext(initial_ideal(G), p)
-            value = timed.run("extraction", hilbert_value, ctx, t)
-            report.payload["t"] = str(t)
-            report.payload["value"] = str(value)
+            ctx = HilbertContext(sol.ideal, p)
+            value = sol.timed("extraction", hilbert_value, ctx, t)
+            payload["t"] = str(t)
+            payload["value"] = str(value)
             lines.append(str(value))
 
         elif args.command == "regularity":
-            G = _pipeline(p, timed, not args.no_lll)
-            ctx = HilbertContext(initial_ideal(G), p)
-            reg = timed.run("extraction", index_of_regularity, ctx)
-            report.payload["index_of_regularity"] = str(reg)
+            ctx = HilbertContext(sol.ideal, p)
+            reg = sol.timed("extraction", index_of_regularity, ctx)
+            payload["index_of_regularity"] = str(reg)
             lines.append(str(reg))
 
-        timed.timings["total"] = time.perf_counter() - total_start
+        elapsed = {**sol.timings, "total": time.perf_counter() - total_start}
         if args.json:
-            print(report.to_json(), file=out)
+            doc = {
+                "command": args.command,
+                "p": [str(w) for w in p.entries],
+                **payload,
+                "elapsed": {k: round(v, 6) for k, v in elapsed.items()},
+            }
+            print(json.dumps(doc), file=out)
         else:
             for line in lines:
                 print(line, file=out)
         if args.timing:
-            for phase in (*PHASES, "total"):
-                print(f"{phase:<11} {timed.timings[phase]:.6f}s", file=err)
+            for phase, seconds in elapsed.items():
+                print(f"{phase:<11} {seconds:.6f}s", file=err)
         return code
     except EnumerationTooLarge as e:  # a ValueError, but not invalid input
         print(str(e), file=err)

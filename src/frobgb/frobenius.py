@@ -7,11 +7,16 @@ that vector is then a witness.  The Frobenius number is the largest weighted
 degree over the corner vectors of the staircase of the head ideal; the
 corners are the irreducible components of the head ideal shifted by -1 in
 every coordinate, so they come from the one staircase walk in monideal.
+
+Solution is the one pipeline, computed lazily and timed per phase;
+frobenius_number and the frob command both read from it.
 """
 
 from __future__ import annotations
 
+import time
 from collections.abc import Iterable
+from functools import cached_property
 from typing import NamedTuple, Optional
 
 from .arith import (
@@ -24,12 +29,12 @@ from .arith import (
     solve_degree,
 )
 from .grobner import GroebnerBasis, lattice_groebner, reduce_binomial
-from .monideal import initial_ideal, irreducible_decomposition
+from .monideal import MonomialIdeal, initial_ideal, irreducible_decomposition
 from .order import OrderConfig
 
 __all__ = [
     "RepresentabilityResult",
-    "compute_mp",
+    "Solution",
     "frobenius_number",
     "is_representable",
 ]
@@ -71,22 +76,68 @@ def is_representable(
     return RepresentabilityResult(False, None)
 
 
-def compute_mp(p: Weights | Iterable[int], G: GroebnerBasis) -> frozenset[Vector]:
-    """Corner vectors of the staircase: a_1 = -1, a_i >= 0 for i >= 2,
-    x^(a+) is not reducible by the basis, but every x^((a+e_i)+) for i >= 2
-    is.  Their weighted degrees are exactly the non-representable integers
-    maximal in that pointwise sense; the largest is the Frobenius number.
+PHASES = ("basis", "reduction", "groebner", "extraction")
 
-    The corners are the irreducible components of the head ideal shifted by
-    -1 in every coordinate.  When some weight is 1 every integer >= 0 is
-    representable and the set is empty.
+
+class Solution:
+    """The pipeline for one weight vector, each stage cached on first use.
+
+    timings holds the wall time per phase; timed() adds one call's time to a
+    phase.  Timed calls never nest, so the phases sum to at most the total.
     """
-    p = as_weights(p)
-    _check_match(p, G)
-    if any(w == 1 for w in p.entries):
-        return frozenset()
-    comps = irreducible_decomposition(initial_ideal(G), p)
-    return frozenset(tuple(x - 1 for x in v) for v in comps)
+
+    def __init__(self, p: Weights | Iterable[int], *, use_lll: bool = True,
+                 tie_break: str = "revlex") -> None:
+        self.weights = as_weights(p)
+        self.use_lll = use_lll
+        self.tie_break = tie_break
+        self.timings = dict.fromkeys(PHASES, 0.0)
+
+    def timed(self, phase: str, fn, *args):
+        """Call fn(*args) and add its wall time to timings[phase]."""
+        start = time.perf_counter()
+        out = fn(*args)
+        self.timings[phase] += time.perf_counter() - start
+        return out
+
+    @cached_property
+    def kernel_rows(self) -> tuple[Vector, ...]:
+        return self.timed("basis", kernel_basis, self.weights)
+
+    @cached_property
+    def reduced_rows(self) -> tuple[Vector, ...]:
+        if not self.use_lll:
+            return self.kernel_rows
+        return self.timed("reduction", lll_reduce, self.kernel_rows)
+
+    @cached_property
+    def basis(self) -> GroebnerBasis:
+        cfg = OrderConfig(self.weights, tie_break=self.tie_break)
+        return self.timed("groebner", lattice_groebner, self.weights, self.reduced_rows, cfg)
+
+    @cached_property
+    def ideal(self) -> MonomialIdeal:
+        return initial_ideal(self.basis)
+
+    @cached_property
+    def components(self) -> frozenset[Vector]:
+        return self.timed("extraction", irreducible_decomposition, self.ideal, self.weights)
+
+    @cached_property
+    def corners(self) -> frozenset[Vector]:
+        """Staircase corners, the components shifted by -1: a_1 = -1, x^(a+)
+        is standard and every x^((a+e_i)+), i >= 2, is not.  Their degrees
+        are the pointwise maximal gaps; the largest is f*."""
+        return frozenset(tuple(x - 1 for x in v) for v in self.components)
+
+    @cached_property
+    def frobenius(self) -> int:
+        """f*; -1, without building the basis, when some weight is 1."""
+        if 1 in self.weights.entries:
+            return -1
+        if not self.corners:
+            raise AssertionError("staircase corner set is empty for coprime weights >= 2")
+        return max(pdegree(a, self.weights) for a in self.corners)
 
 
 def frobenius_number(
@@ -99,19 +150,9 @@ def frobenius_number(
     nonnegative integer is (single weight, or some weight equal to 1).
 
     Accepts a Weights instance or any iterable of positive coprime integers.
-    f* is the largest weighted degree of a staircase corner (compute_mp),
+    f* is the largest weighted degree of a staircase corner (Solution.corners),
     read off the irreducible decomposition of the head ideal.  Bases built
     with or without LLL reduction and with either tie-break completion give
     the same value.
     """
-    p = as_weights(p)
-    if p.n == 1 or any(w == 1 for w in p.entries):
-        return -1
-    cfg = OrderConfig(p, tie_break=tie_break)
-    basis = kernel_basis(p)
-    if use_lll:
-        basis = lll_reduce(basis)
-    corners = compute_mp(p, lattice_groebner(p, basis, cfg))
-    if not corners:
-        raise AssertionError("staircase corner set is empty for coprime weights >= 2")
-    return max(pdegree(a, p) for a in corners)
+    return Solution(p, use_lll=use_lll, tie_break=tie_break).frobenius

@@ -13,63 +13,19 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
-from frobgb import (
-    AperyTable,
-    OrderConfig,
-    Weights,
-    initial_ideal,
-    irreducible_decomposition,
-    kernel_basis,
-    lattice_groebner,
-    lll_reduce,
-    pdegree,
-)
+from frobgb import AperyTable, Solution
 
 from helpers import random_weights
 
 SEED = 20260815
 
 
-class Instance:
-    """One weight vector with lazily computed pipeline artifacts."""
-
-    def __init__(self, entries):
-        self.p = Weights(tuple(entries))
-
-    def __repr__(self):
-        return f"Instance{self.p.entries}"
-
-    @cached_property
-    def cfg(self):
-        return OrderConfig(self.p)
-
-    @cached_property
-    def rows(self):
-        return kernel_basis(self.p)
-
-    @cached_property
-    def reduced_rows(self):
-        return lll_reduce(self.rows)
-
-    @cached_property
-    def gb(self):
-        return lattice_groebner(self.p, self.reduced_rows, self.cfg)
-
-    @cached_property
-    def ideal(self):
-        return initial_ideal(self.gb)
-
-    @cached_property
-    def components(self):
-        return irreducible_decomposition(self.ideal, self.p)
-
-    @cached_property
-    def fstar(self):
-        return max(pdegree(tuple(x - 1 for x in v), self.p) for v in self.components)
+class Instance(Solution):
+    """A pool member: the cached pipeline plus the residue-table oracle."""
 
     @cached_property
     def apery(self):
-        return AperyTable.build(self.p)
+        return AperyTable.build(self.weights)
 
     @cached_property
     def fstar_oracle(self):
@@ -78,7 +34,7 @@ class Instance:
 
 def _hilbert_box(inst, t):
     # mirror of the enumeration bound used by the Hilbert module
-    p = inst.p.entries
+    p = inst.weights.entries
     gens = inst.ideal.sorted_generators()
     box = t // p[0] + 1
     for i in range(1, len(p)):
@@ -108,7 +64,7 @@ def small20(pool):
     ranked = sorted(pool, key=lambda inst: inst.fstar_oracle)
     chosen = []
     for inst in ranked:
-        if _hilbert_box(inst, inst.fstar_oracle + inst.p.entries[0]) <= 200_000:
+        if _hilbert_box(inst, inst.fstar_oracle + inst.weights.entries[0]) <= 200_000:
             chosen.append(inst)
         if len(chosen) == 20:
             break

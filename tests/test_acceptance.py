@@ -82,10 +82,10 @@ def test_c03_frobenius_matches_oracle(pool):
     assert len(pool) >= 50
     start = time.perf_counter()
     for inst in pool:
-        entries = inst.p.entries
+        entries = inst.weights.entries
         assert 2 <= len(entries) <= 5
         assert all(2 <= w <= 200 for w in entries)
-        assert frobenius_number(inst.p) == inst.fstar_oracle, entries
+        assert frobenius_number(inst.weights) == inst.fstar_oracle, entries
     elapsed = time.perf_counter() - start
     assert elapsed < 300.0
     report("criterion 3", f"{len(pool)} instances agree with the oracle in {elapsed:.2f}s")
@@ -96,7 +96,7 @@ def test_c04_representability_matches_oracle(pool, small20):
     assert all(inst in pool for inst in small20)
     checked = 0
     for inst in small20:
-        p, G, table = inst.p, inst.gb, inst.apery
+        p, G, table = inst.weights, inst.basis, inst.apery
         for t in range(2 * inst.fstar_oracle + 6):
             res = is_representable(p, t, G)
             assert res.representable == table.representable(t), (p.entries, t)
@@ -112,7 +112,7 @@ def test_c04_representability_matches_oracle(pool, small20):
 def test_c05_structural_invariants(pool):
     bases = 0
     for inst in pool:
-        p, G = inst.p, inst.gb
+        p, G = inst.weights, inst.basis
         heads = G.heads()
         for g in G.elements:
             assert pdegree(g.head, p) == pdegree(g.tail, p)  # p-homogeneous
@@ -138,7 +138,7 @@ def test_c06_reducibility_of_representable_signed_vectors(pool):
     while checked < 1000:
         inst = pool[k % len(pool)]
         k += 1
-        p, table = inst.p, inst.apery
+        p, table = inst.weights, inst.apery
         n = p.n
         if k % 2:
             # representable by construction, then forced negative in slot 1
@@ -155,7 +155,7 @@ def test_c06_reducibility_of_representable_signed_vectors(pool):
         assert table.representable(pdegree(a, p))
         plus = (0,) + a[1:]
         assert any(
-            all(h <= m for h, m in zip(head, plus)) for head in inst.gb.heads()
+            all(h <= m for h, m in zip(head, plus)) for head in inst.basis.heads()
         ), (p.entries, a)
         checked += 1
     report("criterion 6", f"{checked} signed vectors reducible, zero violations")
@@ -165,14 +165,14 @@ def test_c07_corners_equal_decomposition(pool):
     grids = 0
     for inst in pool:
         comps = inst.components
-        assert comps == reference_decomposition(inst.ideal), inst.p.entries
+        assert comps == reference_decomposition(inst.ideal), inst.weights.entries
 
         # exact intersection equality of the decomposition
         acc = None
         for v in sorted(comps):
             f = component_ideal(v)
             acc = f if acc is None else intersect(acc, f)
-        assert acc == inst.ideal, inst.p.entries
+        assert acc == inst.ideal, inst.weights.entries
 
         # irredundancy: a monomial per component inside every other component
         big = max(x for v in comps for x in v) + 1
@@ -185,7 +185,7 @@ def test_c07_corners_equal_decomposition(pool):
 
         # literal membership grid where it stays small
         spans = [
-            max(g[i] for g in inst.ideal.generators) + 2 for i in range(inst.p.n)
+            max(g[i] for g in inst.ideal.generators) + 2 for i in range(inst.weights.n)
         ]
         points = 1
         for s in spans:
@@ -207,15 +207,15 @@ def test_c07_corners_equal_decomposition(pool):
 def test_c08_hilbert_indicator_and_regularity(small20):
     values = 0
     for inst in small20:
-        ctx = HilbertContext(inst.ideal, inst.p)
+        ctx = HilbertContext(inst.ideal, inst.weights)
         table = inst.apery
         fstar = inst.fstar_oracle
-        for t in range(fstar + inst.p.entries[0] + 1):
+        for t in range(fstar + inst.weights.entries[0] + 1):
             v = hilbert_value(ctx, t)
             assert v in (0, 1)
-            assert v == int(table.representable(t)), (inst.p.entries, t)
+            assert v == int(table.representable(t)), (inst.weights.entries, t)
             values += 1
-        assert index_of_regularity(ctx) == fstar + 1, inst.p.entries
+        assert index_of_regularity(ctx) == fstar + 1, inst.weights.entries
     report(
         "criterion 8",
         f"{values} Hilbert values are representability indicators;"
@@ -292,10 +292,10 @@ def test_c09_stretch_hundred_digits():
 
 def test_c10_route_independence(pool):
     rng = random.Random(SEED + 10)
-    small = [inst for inst in pool if max(inst.p.entries) <= 40][:20]
+    small = [inst for inst in pool if max(inst.weights.entries) <= 40][:20]
     assert len(small) == 20
     for inst in small:
-        p = inst.p
+        p = inst.weights
         variants = [
             frobenius_number(p, use_lll=lll, tie_break=tie)
             for lll in (True, False)

@@ -2,18 +2,20 @@
 
 from __future__ import annotations
 
+import json
 import random
+import time
 
 import pytest
 
+import frobgb.frobenius
 from frobgb import (
     AperyTable,
     OrderConfig,
+    Solution,
     Weights,
-    compute_mp,
     contains_monomial,
     frobenius_number,
-    initial_ideal,
     irreducible_decomposition_general,
     is_representable,
     kernel_basis,
@@ -22,6 +24,7 @@ from frobgb import (
 )
 
 from helpers import dot, random_weights
+from test_cli import invoke
 from test_grobner import make_gb
 
 SEED = 660231
@@ -46,7 +49,7 @@ def test_plain_sequences_accepted():
     assert frobenius_number([2, 3]) == 1
     G = make_gb((6, 10, 15))
     assert is_representable([6, 10, 15], 30, G).witness == (5, 0, 0)
-    assert compute_mp((6, 10, 15), G) == frozenset({(-1, 2, 1)})
+    assert Solution((6, 10, 15)).corners == frozenset({(-1, 2, 1)})
     with pytest.raises(ValueError):
         frobenius_number([4, 6])
 
@@ -93,30 +96,69 @@ def test_huge_degree_witness():
     assert dot(res.witness, p.entries) == t
 
 
-def test_compute_mp_fixture():
-    assert compute_mp(Weights((2, 3)), make_gb((2, 3))) == frozenset({(-1, 1)})
-    assert compute_mp(Weights((3, 5)), make_gb((3, 5))) == frozenset({(-1, 2)})
-    assert compute_mp(Weights((6, 10, 15)), make_gb((6, 10, 15))) == frozenset(
-        {(-1, 2, 1)}
-    )
-    assert compute_mp(Weights((7, 11, 13)), make_gb((7, 11, 13))) == frozenset(
+def test_corners_fixture():
+    assert Solution(Weights((2, 3))).corners == frozenset({(-1, 1)})
+    assert Solution(Weights((3, 5))).corners == frozenset({(-1, 2)})
+    assert Solution(Weights((6, 10, 15))).corners == frozenset({(-1, 2, 1)})
+    assert Solution(Weights((7, 11, 13))).corners == frozenset(
         {(-1, 1, 2), (-1, 2, 0)}
     )
 
 
-def test_compute_mp_empty_when_a_weight_is_one():
-    p = Weights((1, 5))
-    G = lattice_groebner(p, kernel_basis(p), OrderConfig(p))
-    assert compute_mp(p, G) == frozenset()
+def test_corners_when_a_weight_is_one():
+    # the shifted components that `frob decomp` prints, (0,1) and (0,5,1)
+    assert Solution((1, 5)).corners == frozenset({(-1, 0)})
+    assert Solution((5, 1, 9)).corners == frozenset({(-1, 4, 0)})
+
+
+def test_weight_one_skips_the_basis():
+    # the LLL basis alone takes seconds here
+    sol = Solution((92363017, 1, 18956779, 58102191, 70656068))
+    assert sol.frobenius == -1
+    assert "basis" not in sol.__dict__ and "kernel_rows" not in sol.__dict__
+
+
+def test_cli_builds_the_basis_once(monkeypatch):
+    calls = []
+    original = frobgb.frobenius.lattice_groebner
+
+    def counting(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(frobgb.frobenius, "lattice_groebner", counting)
+    for command in ("decomp", "regularity"):
+        calls.clear()
+        assert invoke(command, "7", "11", "13")[0] == 0
+        assert len(calls) == 1, command
+
+
+def test_cli_phase_timers_never_nest(monkeypatch):
+    # a decomposition counted under two phases, or twice under one, would
+    # push the phase sum past the total
+    original = frobgb.frobenius.irreducible_decomposition
+
+    def slow(*args):
+        time.sleep(0.05)
+        return original(*args)
+
+    monkeypatch.setattr(frobgb.frobenius, "irreducible_decomposition", slow)
+    for command in ("number", "decomp"):
+        code, out, _ = invoke(command, "--json", "6", "10", "15")
+        assert code == 0
+        elapsed = json.loads(out)["elapsed"]
+        phases = [elapsed[k] for k in ("basis", "reduction", "groebner", "extraction")]
+        assert sum(phases) <= elapsed["total"] + 1e-5, (command, elapsed)
+        assert elapsed["extraction"] >= 0.05, (command, elapsed)
 
 
 def test_corner_vectors_are_maximal_gaps():
     # x^(a+) standard, every bump x^((a+e_i)+) inside the head ideal
     for entries in [(6, 10, 15), (7, 11, 13), (9, 12, 16)]:
         p = Weights(entries)
-        G = make_gb(entries)
-        I = initial_ideal(G)
-        corners = compute_mp(p, G)
+        sol = Solution(p)
+        I = sol.ideal
+        corners = sol.corners
         assert corners
         table = AperyTable.build(p)
         for a in corners:
@@ -131,10 +173,9 @@ def test_corner_vectors_are_maximal_gaps():
 
 def test_shifted_corners_equal_decomposition():
     for entries in [(2, 3), (6, 10, 15), (7, 11, 13), (6, 9, 20)]:
-        p = Weights(entries)
-        G = make_gb(entries)
-        shifted = {tuple(x + 1 for x in a) for a in compute_mp(p, G)}
-        assert shifted == irreducible_decomposition_general(initial_ideal(G))
+        sol = Solution(entries)
+        shifted = {tuple(x + 1 for x in a) for a in sol.corners}
+        assert shifted == irreducible_decomposition_general(sol.ideal)
 
 
 def test_frobenius_number_fixture():

@@ -290,9 +290,9 @@ def test_matches_the_all_pairs_reference(pool):
     # the pair criteria and the reducer lookup must not change any basis
     for inst in pool:
         for tie_break in ("revlex", "lex"):
-            for rv in range(1, inst.p.n + 1):
-                cfg = OrderConfig(inst.p, revlex_variable=rv, tie_break=tie_break)
-                G = lattice_groebner(inst.p, inst.reduced_rows, cfg)
+            for rv in range(1, inst.weights.n + 1):
+                cfg = OrderConfig(inst.weights, revlex_variable=rv, tie_break=tie_break)
+                G = lattice_groebner(inst.weights, inst.reduced_rows, cfg)
                 expected = reference_groebner(inst.reduced_rows, cfg)
                 assert [(g.head, g.tail) for g in G.elements] == expected, cfg
 

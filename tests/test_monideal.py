@@ -222,7 +222,7 @@ def random_head_ideal(rng, n):
 
 def test_decomposition_matches_reference_on_pool(pool):
     for inst in pool:
-        assert inst.components == reference_decomposition(inst.ideal), inst.p.entries
+        assert inst.components == reference_decomposition(inst.ideal), inst.weights.entries
 
 
 def test_decomposition_matches_reference_on_random_head_ideals():
