@@ -37,7 +37,7 @@ from .grobner import (
     reduce_binomial,
     validate_basis,
 )
-from .hilbert import EnumerationTooLarge, HilbertContext, hilbert_value, index_of_regularity
+from .hilbert import EnumerationTooLarge, hilbert_value, index_of_regularity
 from .monideal import (
     MonomialIdeal,
     contains_monomial,
@@ -59,7 +59,6 @@ __all__ = [
     "CoprimeViolation",
     "EnumerationTooLarge",
     "GroebnerBasis",
-    "HilbertContext",
     "MonomialIdeal",
     "OracleScaleExceeded",
     "OrderConfig",

@@ -67,9 +67,6 @@ class Weights:
     def n(self) -> int:
         return len(self.entries)
 
-    def degree(self, v: Vector) -> int:
-        return pdegree(v, self)
-
     def __len__(self) -> int:
         return len(self.entries)
 
@@ -231,11 +228,14 @@ def _gram_schmidt(rows: list[list[int]]):
     return mu, norm2
 
 
-def lll_reduce(basis, delta: Fraction = Fraction(99, 100)) -> tuple[Vector, ...]:
+LLL_DELTA = Fraction(99, 100)
+
+
+def lll_reduce(basis) -> tuple[Vector, ...]:
     """LLL reduction with exact rational Gram-Schmidt (no floating point).
 
     Returns rows spanning the same lattice, size-reduced and satisfying the
-    Lovasz condition with the given delta.  Correctness of callers never
+    Lovasz condition with delta = LLL_DELTA.  Correctness of callers never
     depends on this step; it only shrinks entries.
     """
     rows = [list(r) for r in basis]
@@ -256,7 +256,7 @@ def lll_reduce(basis, delta: Fraction = Fraction(99, 100)) -> tuple[Vector, ...]
             if q:
                 rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
                 mu, norm2 = _gram_schmidt(rows)
-        if norm2[k] >= (delta - mu[k][k - 1] ** 2) * norm2[k - 1]:
+        if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]

@@ -28,12 +28,7 @@ import time
 from .arith import Weights
 from .frobenius import Solution, is_representable
 from .grobner import format_binomial
-from .hilbert import (
-    EnumerationTooLarge,
-    HilbertContext,
-    hilbert_value,
-    index_of_regularity,
-)
+from .hilbert import EnumerationTooLarge, hilbert_value, index_of_regularity
 from .monideal import format_component
 
 __all__ = ["main", "run"]
@@ -75,7 +70,8 @@ def _build_parser() -> _Parser:
 def _read_weights(args) -> Weights:
     if args.file is not None:
         try:
-            text = open(args.file, encoding="utf-8").read()
+            with open(args.file, encoding="utf-8") as f:
+                text = f.read()
         except OSError as e:
             raise _CLIError(str(e))
         tokens = []
@@ -152,15 +148,14 @@ def run(argv, stdout=None, stderr=None) -> int:
 
         elif args.command == "hilbert":
             t = _parse_t(args)
-            ctx = HilbertContext(sol.ideal, p)
-            value = sol.timed("extraction", hilbert_value, ctx, t)
+            sol.ideal  # build the basis under its own phases, not inside extraction
+            value = sol.timed("extraction", hilbert_value, sol, t)
             payload["t"] = str(t)
             payload["value"] = str(value)
             lines.append(str(value))
 
         elif args.command == "regularity":
-            ctx = HilbertContext(sol.ideal, p)
-            reg = sol.timed("extraction", index_of_regularity, ctx)
+            reg = index_of_regularity(sol)  # Solution.components is timed already
             payload["index_of_regularity"] = str(reg)
             lines.append(str(reg))
 

@@ -35,6 +35,7 @@ from .arith import (
     positive_part,
     rational_rank,
 )
+from .monideal import _check_head_shape
 from .order import GT, LT, OrderConfig, compare
 
 __all__ = [
@@ -355,8 +356,6 @@ def validate_basis(G: GroebnerBasis) -> None:
             raise ValueError(f"element {g} is not oriented head-first")
         if any(a and b for a, b in zip(g.head, g.tail)):
             raise ValueError(f"element {g} has overlapping support")
-        if g.head[rv]:
-            raise ValueError(f"head of {g} is divisible by the cheapest variable")
         k = key(g.head)
         if prev_key is not None and k <= prev_key:
             raise ValueError("elements are not in ascending head order")
@@ -368,16 +367,7 @@ def validate_basis(G: GroebnerBasis) -> None:
                 raise ValueError(f"head {h} divides head {g.head}")
             if _multiplicity(g.tail, h):
                 raise ValueError(f"head {h} divides tail {g.tail}")
-    p_rv = p.entries[rv]
-    for i in range(n):
-        if i == rv:
-            continue
-        covered = any(
-            h[i] and h[i] <= p_rv and all(x == 0 for j, x in enumerate(h) if j != i)
-            for h in heads
-        )
-        if not covered:
-            raise ValueError(f"no pure power of variable {i + 1} at most p_rv in the heads")
+    _check_head_shape(heads, n, rv, p.entries[rv])
 
 
 def normal_form(m: Vector, G: GroebnerBasis) -> Vector:

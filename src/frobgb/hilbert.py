@@ -1,23 +1,23 @@
-"""Weighted Hilbert function of the quotient by a head ideal.
+"""Weighted Hilbert function of the quotient by the head ideal of a Solution.
 
 For the head ideal of a kernel lattice basis the quotient has a 0/1-valued
 weighted Hilbert function: the value at t counts the standard monomials of
 weighted degree t, which is 1 exactly when t is representable.  The smallest
 degree from which the function is constantly 1 (the index of regularity) is
-the Frobenius number plus one.
+the Frobenius number plus one, so index_of_regularity reads Solution.frobenius.
 
-This module is a verification tool: values are found by bounded enumeration
-and requests with too large a candidate box are refused.
+Both functions take a Solution, whose ideal comes from a basis that passed
+validate_basis and so has the head shape: no generator uses the first
+variable, and every other variable has a pure power.  hilbert_value is a
+verification tool: values are found by bounded enumeration and requests with
+too large a candidate box are refused.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .frobenius import Solution
 
-from .arith import Weights, pdegree
-from .monideal import MonomialIdeal, _check_head_shape, irreducible_decomposition
-
-__all__ = ["EnumerationTooLarge", "HilbertContext", "hilbert_value", "index_of_regularity"]
+__all__ = ["EnumerationTooLarge", "hilbert_value", "index_of_regularity"]
 
 ENUMERATION_LIMIT = 10_000_000
 
@@ -26,20 +26,7 @@ class EnumerationTooLarge(ValueError):
     """The candidate monomial box for this degree exceeds the fixed budget."""
 
 
-@dataclass(frozen=True)
-class HilbertContext:
-    """A head-shaped monomial ideal together with the grading weights."""
-
-    ideal: MonomialIdeal
-    weights: Weights
-
-    def __post_init__(self) -> None:
-        if self.ideal.n != self.weights.n:
-            raise ValueError("ideal and weights have different dimensions")
-        _check_head_shape(self.ideal)
-
-
-def hilbert_value(ctx: HilbertContext, t: int) -> int:
+def hilbert_value(sol: Solution, t: int) -> int:
     """Number of standard monomials of weighted degree t.
 
     Exponents of variables beyond the first are capped below the smallest
@@ -48,9 +35,9 @@ def hilbert_value(ctx: HilbertContext, t: int) -> int:
     """
     if t < 0:
         raise ValueError("t must be >= 0")
-    p = ctx.weights.entries
+    p = sol.weights.entries
     n = len(p)
-    gens = ctx.ideal.sorted_generators()
+    gens = sol.ideal.sorted_generators()
 
     bounds = [t // p[0]]
     for i in range(1, n):
@@ -91,12 +78,7 @@ def hilbert_value(ctx: HilbertContext, t: int) -> int:
     return count
 
 
-def index_of_regularity(ctx: HilbertContext) -> int:
-    """Smallest r with hilbert_value equal to 1 from r on.
-
-    Read off the staircase corners of the decomposition: one past the
-    largest weighted degree of a corner, and 0 when no degree is missing.
-    """
-    comps = irreducible_decomposition(ctx.ideal, ctx.weights)
-    worst = max(pdegree(tuple(x - 1 for x in v), ctx.weights) for v in comps)
-    return worst + 1
+def index_of_regularity(sol: Solution) -> int:
+    """Smallest r with hilbert_value equal to 1 from r on: f* + 1, read off
+    the same staircase corners as f*, and 0 when no degree is missing."""
+    return sol.frobenius + 1

@@ -130,18 +130,23 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_generators(I.n, lcms)
 
 
-def _check_head_shape(I: MonomialIdeal) -> None:
-    for g in I.generators:
-        if g[0] != 0:
-            raise ValueError("ideal has a generator divisible by the first variable")
-    for i in range(1, I.n):
-        if not any(
-            g[i] and all(x == 0 for j, x in enumerate(g) if j != i)
-            for g in I.generators
+def _check_head_shape(heads, n: int, cheap: int = 0, bound: int | None = None) -> None:
+    """The shape of the head ideal of a kernel lattice basis: no head uses
+    the cheapest variable (index cheap), and every other variable has a pure
+    power among the heads, of exponent at most bound when one is given."""
+    for h in heads:
+        if h[cheap]:
+            raise ValueError(f"head {h} is divisible by the cheapest variable")
+    for i in range(n):
+        if i != cheap and not any(
+            h[i] and (bound is None or h[i] <= bound)
+            and all(x == 0 for j, x in enumerate(h) if j != i)
+            for h in heads
         ):
+            at_most = "" if bound is None else f" at most {bound}"
             raise ValueError(
-                f"ideal is not artinian after projecting out the first variable:"
-                f" no pure power of variable {i + 1}"
+                f"ideal is not artinian after projecting out the cheapest variable:"
+                f" no pure power of variable {i + 1}{at_most}"
             )
 
 
@@ -171,7 +176,7 @@ def irreducible_decomposition(I: MonomialIdeal, p: Weights) -> frozenset[Vector]
         raise ValueError("ideal and weights have different dimensions")
     if I.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
-    _check_head_shape(I)
+    _check_head_shape(I.generators, I.n)
     n = I.n
     gens = I.sorted_generators()
     candidates = [sorted({g[i] for g in gens if g[i]}) for i in range(n)]

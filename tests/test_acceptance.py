@@ -27,7 +27,6 @@ from math import gcd
 import pytest
 
 from frobgb import (
-    HilbertContext,
     OrderConfig,
     Weights,
     apery_frobenius,
@@ -207,15 +206,14 @@ def test_c07_corners_equal_decomposition(pool):
 def test_c08_hilbert_indicator_and_regularity(small20):
     values = 0
     for inst in small20:
-        ctx = HilbertContext(inst.ideal, inst.weights)
         table = inst.apery
         fstar = inst.fstar_oracle
         for t in range(fstar + inst.weights.entries[0] + 1):
-            v = hilbert_value(ctx, t)
+            v = hilbert_value(inst, t)
             assert v in (0, 1)
             assert v == int(table.representable(t)), (inst.weights.entries, t)
             values += 1
-        assert index_of_regularity(ctx) == fstar + 1, inst.weights.entries
+        assert index_of_regularity(inst) == fstar + 1, inst.weights.entries
     report(
         "criterion 8",
         f"{values} Hilbert values are representability indicators;"

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import gc
 import io
 import json
 import re
 import subprocess
 import sys
+import warnings
 
 from frobgb.cli import run
 
@@ -94,6 +96,16 @@ def test_file_input(tmp_path):
     empty = tmp_path / "empty.txt"
     empty.write_text("# nothing here\n")
     assert invoke("number", "--file", str(empty))[0] == 2
+
+
+def test_file_input_closes_the_file(tmp_path):
+    path = tmp_path / "weights.txt"
+    path.write_text("6 10 15\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert invoke("number", "--file", str(path))[:2] == (0, "29\n")
+        gc.collect()
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
 
 
 def test_json_reports():

@@ -131,25 +131,33 @@ def test_cli_builds_the_basis_once(monkeypatch):
         calls.clear()
         assert invoke(command, "7", "11", "13")[0] == 0
         assert len(calls) == 1, command
+    # regularity reads f* = -1 off a weight 1 and builds no basis at all
+    calls.clear()
+    weight_one = ("92363017", "1", "18956779", "58102191", "70656068")
+    assert invoke("regularity", *weight_one)[:2] == (0, "0\n")
+    assert calls == []
 
 
 def test_cli_phase_timers_never_nest(monkeypatch):
-    # a decomposition counted under two phases, or twice under one, would
-    # push the phase sum past the total
-    original = frobgb.frobenius.irreducible_decomposition
+    # a stage counted under two phases, or twice under one, would push the
+    # phase sum past the total
+    for name in ("lattice_groebner", "irreducible_decomposition"):
+        original = getattr(frobgb.frobenius, name)
 
-    def slow(*args):
-        time.sleep(0.05)
-        return original(*args)
+        def slow(*args, original=original):
+            time.sleep(0.05)
+            return original(*args)
 
-    monkeypatch.setattr(frobgb.frobenius, "irreducible_decomposition", slow)
-    for command in ("number", "decomp"):
-        code, out, _ = invoke(command, "--json", "6", "10", "15")
+        monkeypatch.setattr(frobgb.frobenius, name, slow)
+    for command in (["number"], ["decomp"], ["hilbert", "--t", "25"], ["regularity"]):
+        code, out, _ = invoke(*command, "--json", "6", "10", "15")
         assert code == 0
         elapsed = json.loads(out)["elapsed"]
         phases = [elapsed[k] for k in ("basis", "reduction", "groebner", "extraction")]
         assert sum(phases) <= elapsed["total"] + 1e-5, (command, elapsed)
-        assert elapsed["extraction"] >= 0.05, (command, elapsed)
+        assert elapsed["groebner"] >= 0.05, (command, elapsed)
+        if command[0] != "hilbert":
+            assert elapsed["extraction"] >= 0.05, (command, elapsed)
 
 
 def test_corner_vectors_are_maximal_gaps():

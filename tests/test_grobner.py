@@ -264,6 +264,8 @@ def test_validate_basis_catches_damage():
         validate_basis(GroebnerBasis((Binomial((1, 3, 0), (6, 0, 0)), b), cfg))
     with pytest.raises(ValueError, match="pure power"):
         validate_basis(GroebnerBasis((a,), cfg))
+    with pytest.raises(ValueError, match="pure power of variable 3 at most 6"):
+        validate_basis(GroebnerBasis((a, Binomial((0, 0, 8), (20, 0, 0))), cfg))
     with pytest.raises(ValueError, match="divides tail"):
         validate_basis(GroebnerBasis((a, Binomial((0, 0, 2), (0, 3, 0))), cfg))
     with pytest.raises(ValueError, match="divides head"):

@@ -9,20 +9,16 @@ import pytest
 from frobgb import (
     AperyTable,
     EnumerationTooLarge,
-    HilbertContext,
-    MonomialIdeal,
+    Solution,
     Weights,
     contains_monomial,
     hilbert_value,
     index_of_regularity,
-    initial_ideal,
 )
-
-from test_grobner import make_gb
 
 
 def ctx_for(entries):
-    return HilbertContext(initial_ideal(make_gb(entries)), Weights(entries))
+    return Solution(entries)
 
 
 def brute_count(ctx, t):
@@ -94,12 +90,3 @@ def test_enumeration_budget():
     with pytest.raises(EnumerationTooLarge):
         hilbert_value(ctx_for((2, 3)), 10**9)
 
-
-def test_context_validation():
-    p = Weights((6, 10, 15))
-    with pytest.raises(ValueError, match="first variable"):
-        HilbertContext(MonomialIdeal(3, frozenset({(1, 0, 0)})), p)
-    with pytest.raises(ValueError, match="pure power"):
-        HilbertContext(MonomialIdeal(3, frozenset({(0, 3, 0)})), p)
-    with pytest.raises(ValueError, match="dimensions"):
-        HilbertContext(MonomialIdeal(2, frozenset({(0, 2)})), p)

@@ -145,7 +145,7 @@ def test_decomposition_certified_on_fixtures():
 
 def test_decomposition_rejects_bad_shapes():
     p3 = Weights((6, 10, 15))
-    with pytest.raises(ValueError, match="first variable"):
+    with pytest.raises(ValueError, match="cheapest variable"):
         irreducible_decomposition(
             MonomialIdeal(3, frozenset({(1, 0, 0)})), p3
         )
