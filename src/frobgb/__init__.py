@@ -18,7 +18,6 @@ from .arith import (
     kernel_basis,
     lll_reduce,
     pdegree,
-    representable_window,
     solve_degree,
 )
 from .frobenius import (
@@ -90,7 +89,6 @@ __all__ = [
     "normal_form",
     "pdegree",
     "reduce_binomial",
-    "representable_window",
     "solve_degree",
     "validate_basis",
 ]

@@ -26,8 +26,6 @@ __all__ = [
     "negative_part",
     "pdegree",
     "positive_part",
-    "rational_rank",
-    "representable_window",
     "solve_degree",
     "xgcd",
 ]
@@ -187,30 +185,9 @@ def kernel_basis(p: Weights) -> tuple[Vector, ...]:
     return rows
 
 
-def rational_rank(rows) -> int:
-    """Rank over the rationals of a list of integer rows (exact)."""
-    mat = [[Fraction(x) for x in r] for r in rows]
-    if not mat:
-        return 0
-    ncols = len(mat[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((r for r in range(rank, len(mat)) if mat[r][col]), None)
-        if piv is None:
-            continue
-        mat[rank], mat[piv] = mat[piv], mat[rank]
-        for r in range(rank + 1, len(mat)):
-            if mat[r][col]:
-                f = mat[r][col] / mat[rank][col]
-                mat[r] = [a - f * b for a, b in zip(mat[r], mat[rank])]
-        rank += 1
-        if rank == len(mat):
-            break
-    return rank
-
-
 def _gram_schmidt(rows: list[list[int]]):
-    """Exact Gram-Schmidt data: (mu, norm2, star) over Fractions."""
+    """Exact Gram-Schmidt data (mu, norm2) over Fractions; raises on
+    linearly dependent rows."""
     m = len(rows)
     mu = [[Fraction(0)] * m for _ in range(m)]
     norm2: list[Fraction] = []
@@ -246,8 +223,6 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     for r in rows:
         if len(r) != width:
             raise ValueError("basis rows must all have the same dimension")
-    if m == 1:
-        return (tuple(rows[0]),)
     mu, norm2 = _gram_schmidt(rows)
     k = 1
     while k < m:
@@ -263,21 +238,3 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
             mu, norm2 = _gram_schmidt(rows)
             k = k - 1 if k > 1 else 1
     return tuple(tuple(r) for r in rows)
-
-
-def representable_window(p: Weights) -> tuple[Vector, Vector]:
-    """(u, v) with v.p = 1 and u + i*v >= 0 for i = 0..p_1-1.
-
-    The p_1 vectors u + i*v witness p_1 consecutive representable weighted
-    degrees starting at u.p.  The shift p_1 * |min v_i| is applied only when
-    some entry of v is negative.
-    """
-    v = gcd_chain(p)
-    m = min(v)
-    shift = p.entries[0] * (-m if m < 0 else 0)
-    u = tuple(x + shift for x in v)
-    p1 = p.entries[0]
-    for i in (0, p1 - 1):
-        if any(a + i * b < 0 for a, b in zip(u, v)):
-            raise AssertionError("representable window left the nonnegative orthant")
-    return u, v

@@ -45,13 +45,6 @@ class RepresentabilityResult(NamedTuple):
     witness: Optional[Vector]
 
 
-def _check_match(p: Weights, G: GroebnerBasis) -> None:
-    if G.weights != p:
-        raise ValueError("basis was computed for different weights")
-    if G.order.revlex_variable != 1:
-        raise ValueError("representability needs a basis with cheapest variable 1")
-
-
 def is_representable(
     p: Weights | Iterable[int], t: int, G: GroebnerBasis
 ) -> RepresentabilityResult:
@@ -61,7 +54,8 @@ def is_representable(
     satisfies w >= 0 and w.p = t.
     """
     p = as_weights(p)
-    _check_match(p, G)
+    if G.weights != p:
+        raise ValueError("basis was computed for different weights")
     if t < 0:
         return RepresentabilityResult(False, None)
     if p.n == 1:

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from .arith import Vector, Weights
+from .arith import Vector, Weights, _check_dim
 
 __all__ = [
     "MonomialIdeal",
@@ -95,8 +95,7 @@ def initial_ideal(G) -> MonomialIdeal:
 
 def contains_monomial(I: MonomialIdeal, m: Vector) -> bool:
     """True iff x^m lies in I, i.e. some generator divides m."""
-    if len(m) != I.n:
-        raise ValueError(f"expected a vector of dimension {I.n}, got {len(m)}")
+    _check_dim(m, I.n)
     if any(x < 0 for x in m):
         raise ValueError(f"monomial {m} has a negative exponent")
     return any(_divides(g, m) for g in I.generators)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
-from .arith import Vector, Weights
+from .arith import Vector, Weights, _check_dim
 
 LT, EQ, GT = -1, 0, 1
 
@@ -68,8 +68,7 @@ class OrderConfig:
 
 
 def _validate(v: Vector, n: int) -> None:
-    if len(v) != n:
-        raise ValueError(f"expected a vector of dimension {n}, got {len(v)}")
+    _check_dim(v, n)
     if any(x < 0 for x in v):
         raise ValueError("term order comparisons are defined on nonnegative vectors")
 

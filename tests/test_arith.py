@@ -4,7 +4,6 @@ degree solutions, kernel lattice bases, and rational LLL."""
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from math import gcd
 
 import pytest
@@ -17,10 +16,9 @@ from frobgb import (
     kernel_basis,
     lll_reduce,
     pdegree,
-    representable_window,
     solve_degree,
 )
-from frobgb.arith import negative_part, positive_part, rational_rank, xgcd
+from frobgb.arith import negative_part, positive_part, xgcd
 
 from helpers import (
     check_lll,
@@ -146,7 +144,6 @@ def test_kernel_basis_spans_whole_kernel():
         assert len(rows) == p.n - 1
         for r in rows:
             assert pdegree(r, p) == 0
-        assert rational_rank(rows) == p.n - 1
         # index 1 in the full kernel: all maximal minors are coprime
         assert maximal_minors_gcd(rows) == 1
 
@@ -205,21 +202,3 @@ def test_lll_trivial_inputs():
     assert lll_reduce(()) == ()
     assert lll_reduce(((7, -3),)) == ((7, -3),)
 
-
-def test_rational_rank():
-    assert rational_rank(()) == 0
-    assert rational_rank(((1, 2), (2, 4))) == 1
-    assert rational_rank(((1, 0), (0, 1))) == 2
-
-
-def test_representable_window():
-    for entries in [(2, 3), (3, 5), (6, 10, 15), (1,), (7, 11, 13)]:
-        p = Weights(entries)
-        u, v = representable_window(p)
-        assert dot(v, entries) == 1
-        for i in range(entries[0]):
-            shifted = tuple(a + i * b for a, b in zip(u, v))
-            assert all(x >= 0 for x in shifted)
-            assert dot(shifted, entries) == dot(u, entries) + i
-    assert representable_window(Weights((2, 3))) == ((1, 3), (-1, 1))
-    assert representable_window(Weights((1,))) == ((1,), (1,))

@@ -14,6 +14,7 @@ from frobgb import (
     OrderConfig,
     Solution,
     Weights,
+    apery_frobenius,
     contains_monomial,
     frobenius_number,
     irreducible_decomposition_general,
@@ -112,10 +113,24 @@ def test_corners_when_a_weight_is_one():
 
 
 def test_weight_one_skips_the_basis():
-    # the LLL basis alone takes seconds here
+    # f* needs no basis when some weight is 1
     sol = Solution((92363017, 1, 18956779, 58102191, 70656068))
     assert sol.frobenius == -1
     assert "basis" not in sol.__dict__ and "kernel_rows" not in sol.__dict__
+
+
+def test_light_weight_does_not_stall_saturation():
+    # a first saturation pass with the weight-1 or weight-2 variable cheapest
+    # ran for about 20 s on these LLL rows
+    for entries in [
+        (92363017, 2, 18956779, 58102191, 70656069),
+        (92363017, 1, 18956779, 58102191, 70656068),
+    ]:
+        start = time.perf_counter()
+        sol = Solution(entries)
+        assert sol.frobenius == apery_frobenius(entries)
+        assert len(sol.basis) > 0
+        assert time.perf_counter() - start < 10.0
 
 
 def test_cli_builds_the_basis_once(monkeypatch):
@@ -211,8 +226,6 @@ def test_frobenius_number_routes_agree():
 
 def test_frobenius_number_against_oracle():
     rng = random.Random(SEED + 2)
-    from frobgb import apery_frobenius
-
     for _ in range(15):
         entries = random_weights(rng, 2, 5, 2, 120)
         p = Weights(entries)

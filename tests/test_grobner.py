@@ -18,8 +18,11 @@ from frobgb import (
     GroebnerBasis,
     OrderConfig,
     Weights,
+    compare,
+    contains_monomial,
     format_binomial,
     format_monomial,
+    initial_ideal,
     kernel_basis,
     lattice_groebner,
     lll_reduce,
@@ -247,6 +250,29 @@ def test_lattice_groebner_rejects_bad_rows():
         lattice_groebner(p, ((-5, 3), (-30, 15)), cfg)  # wrong dimension
     with pytest.raises(ValueError):
         lattice_groebner(Weights((2, 3)), ((-3, 2),), cfg)  # wrong weights
+
+
+def test_wrong_dimension_has_one_message():
+    G = make_gb((6, 10, 15))
+    for call in (
+        lambda: normal_form((1, 2), G),
+        lambda: reduce_binomial((-1, 2), G),
+        lambda: contains_monomial(initial_ideal(G), (1, 2, 3, 4)),
+        lambda: compare((1, 2), (0, 1, 2), G.order),
+    ):
+        with pytest.raises(ValueError, match="expected a vector of dimension"):
+            call()
+
+
+def test_dependent_rows_share_the_lll_message():
+    p = Weights((6, 10, 15))
+    rows = ((-5, 3, 0), (-10, 6, 0))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        lattice_groebner(p, rows, OrderConfig(p))
+    with pytest.raises(ValueError, match="linearly dependent"):
+        lll_reduce(rows)
+    with pytest.raises(ValueError, match="linearly dependent"):
+        lll_reduce(((0, 0),))
 
 
 def test_validate_basis_catches_damage():
