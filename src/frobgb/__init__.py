@@ -48,7 +48,7 @@ from .monideal import (
     irreducible_decomposition_general,
 )
 from .oracle import AperyTable, OracleScaleExceeded, apery_frobenius, dp_representable
-from .order import OrderConfig, compare, divides
+from .order import OrderConfig, compare
 
 __version__ = "0.1.0"
 
@@ -69,7 +69,6 @@ __all__ = [
     "compare",
     "component_ideal",
     "contains_monomial",
-    "divides",
     "dp_representable",
     "format_binomial",
     "format_component",

@@ -167,8 +167,6 @@ def kernel_basis(p: Weights) -> tuple[Vector, ...]:
     kernel, not just a finite-index sublattice.
     """
     n = p.n
-    if n == 1:
-        return ()
     u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     d = list(p.entries)
     for i in range(1, n):

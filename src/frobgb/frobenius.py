@@ -9,7 +9,11 @@ corners are the irreducible components of the head ideal shifted by -1 in
 every coordinate, so they come from the one staircase walk in monideal.
 
 Solution is the one pipeline, computed lazily and timed per phase;
-frobenius_number and the frob command both read from it.
+frobenius_number and the frob command both read from it.  It builds one
+basis, in the degree-first order with x_1 cheapest (order.OrderConfig).
+use_lll=False skips the LLL reduction of the kernel rows: the reduced basis
+is the same, but saturating unreduced rows can be much slower on large
+weights, with no step budget.
 """
 
 from __future__ import annotations
@@ -80,11 +84,9 @@ class Solution:
     phase.  Timed calls never nest, so the phases sum to at most the total.
     """
 
-    def __init__(self, p: Weights | Iterable[int], *, use_lll: bool = True,
-                 tie_break: str = "revlex") -> None:
+    def __init__(self, p: Weights | Iterable[int], *, use_lll: bool = True) -> None:
         self.weights = as_weights(p)
         self.use_lll = use_lll
-        self.tie_break = tie_break
         self.timings = dict.fromkeys(PHASES, 0.0)
 
     def timed(self, phase: str, fn, *args):
@@ -106,7 +108,7 @@ class Solution:
 
     @cached_property
     def basis(self) -> GroebnerBasis:
-        cfg = OrderConfig(self.weights, tie_break=self.tie_break)
+        cfg = OrderConfig(self.weights)
         return self.timed("groebner", lattice_groebner, self.weights, self.reduced_rows, cfg)
 
     @cached_property
@@ -134,19 +136,13 @@ class Solution:
         return max(pdegree(a, self.weights) for a in self.corners)
 
 
-def frobenius_number(
-    p: Weights | Iterable[int],
-    *,
-    use_lll: bool = True,
-    tie_break: str = "revlex",
-) -> int:
+def frobenius_number(p: Weights | Iterable[int], *, use_lll: bool = True) -> int:
     """The largest integer that is not representable; -1 when every
     nonnegative integer is (single weight, or some weight equal to 1).
 
     Accepts a Weights instance or any iterable of positive coprime integers.
     f* is the largest weighted degree of a staircase corner (Solution.corners),
-    read off the irreducible decomposition of the head ideal.  Bases built
-    with or without LLL reduction and with either tie-break completion give
-    the same value.
+    read off the irreducible decomposition of the head ideal.  use_lll=False
+    builds the basis from unreduced kernel rows; the value is the same.
     """
-    return Solution(p, use_lll=use_lll, tie_break=tie_break).frobenius
+    return Solution(p, use_lll=use_lll).frobenius

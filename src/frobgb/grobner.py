@@ -399,7 +399,7 @@ def reduce_binomial(a: Vector, G: GroebnerBasis) -> tuple[Vector, Vector]:
     if a[0] > 0 or any(x < 0 for x in a[1:]):
         raise ValueError("expected a_1 <= 0 and a_i >= 0 for i >= 2")
     u = normal_form(positive_part(a), G)
-    v = normal_form(negative_part(a), G)
+    v = negative_part(a)  # a pure x_1 power, which no head divides
     w = tuple(min(x, y) for x, y in zip(u, v))
     if u == v:
         return w, (0,) * len(a)

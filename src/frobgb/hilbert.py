@@ -15,9 +15,11 @@ too large a candidate box are refused.
 
 from __future__ import annotations
 
+from math import prod
+
 from .frobenius import Solution
 
-__all__ = ["EnumerationTooLarge", "hilbert_value", "index_of_regularity"]
+__all__ = ["EnumerationTooLarge", "enumeration_caps", "hilbert_value", "index_of_regularity"]
 
 ENUMERATION_LIMIT = 10_000_000
 
@@ -26,11 +28,23 @@ class EnumerationTooLarge(ValueError):
     """The candidate monomial box for this degree exceeds the fixed budget."""
 
 
+def enumeration_caps(sol: Solution, t: int) -> list[int]:
+    """Largest exponent per variable in the degree-t enumeration: t // p_i,
+    and for variables beyond the first also one below the smallest
+    pure-power generator in that variable."""
+    p = sol.weights.entries
+    gens = sol.ideal.generators
+    caps = [t // p[0]]
+    for i in range(1, len(p)):
+        pure = min(g[i] for g in gens if g[i] and all(x == 0 for j, x in enumerate(g) if j != i))
+        caps.append(min(t // p[i], pure - 1))
+    return caps
+
+
 def hilbert_value(sol: Solution, t: int) -> int:
     """Number of standard monomials of weighted degree t.
 
-    Exponents of variables beyond the first are capped below the smallest
-    pure-power generator, the first variable only by t; the product of the
+    Exponents are capped by enumeration_caps; the product of the
     per-variable candidate counts must stay within the enumeration budget.
     """
     if t < 0:
@@ -39,13 +53,8 @@ def hilbert_value(sol: Solution, t: int) -> int:
     n = len(p)
     gens = sol.ideal.sorted_generators()
 
-    bounds = [t // p[0]]
-    for i in range(1, n):
-        pure = min(g[i] for g in gens if g[i] and all(x == 0 for j, x in enumerate(g) if j != i))
-        bounds.append(min(t // p[i], pure - 1))
-    box = 1
-    for b in bounds:
-        box *= b + 1
+    bounds = enumeration_caps(sol, t)
+    box = prod(b + 1 for b in bounds)
     if box > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
             f"degree {t} spans {box} candidate monomials, over the limit {ENUMERATION_LIMIT}"

@@ -87,14 +87,12 @@ class AperyTable:
         return w
 
 
-def apery_frobenius(p: Weights | Iterable[int], limit: int = MODULUS_LIMIT) -> int:
+def apery_frobenius(p: Weights | Iterable[int]) -> int:
     """Frobenius number by the residue table; -1 when some weight is 1."""
-    table = AperyTable.build(p, limit)
+    table = AperyTable.build(p)
     return max(table.least) - table.modulus
 
 
-def dp_representable(
-    p: Weights | Iterable[int], t: int, limit: int = MODULUS_LIMIT
-) -> bool:
+def dp_representable(p: Weights | Iterable[int], t: int) -> bool:
     """True iff t is at least the least representable value in its class."""
-    return AperyTable.build(p, limit).representable(t)
+    return AperyTable.build(p).representable(t)

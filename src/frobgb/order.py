@@ -1,9 +1,9 @@
 """Degree-first term order on exponent vectors.
 
-Monomials are compared by weighted degree first; ties are broken so that the
-distinguished variable is the cheapest one (a larger exponent there makes a
-monomial smaller).  Two tie-break completions are provided; every choice
-keeps the degree comparison first, so each one is a genuine term order.
+Monomials are compared by weighted degree first; ties are broken by a
+reverse lexicographic scan that starts at the distinguished variable, so
+that variable is the cheapest one (a larger exponent there makes a monomial
+smaller).  The degree comparison comes first, so this is a term order.
 """
 
 from __future__ import annotations
@@ -15,9 +15,7 @@ from .arith import Vector, Weights, _check_dim
 
 LT, EQ, GT = -1, 0, 1
 
-_TIE_BREAKS = ("revlex", "lex")
-
-__all__ = ["EQ", "GT", "LT", "OrderConfig", "compare", "divides"]
+__all__ = ["EQ", "GT", "LT", "OrderConfig", "compare"]
 
 
 @lru_cache(maxsize=None)
@@ -30,17 +28,14 @@ def _scan_order(n: int, revlex_variable: int) -> tuple[int, ...]:
 class OrderConfig:
     """A weighted degree-first order with a distinguished cheapest variable.
 
-    revlex_variable is 1-indexed; with the default tie_break "revlex" the
+    revlex_variable is 1-indexed.  Between monomials of equal degree the
     comparison scans that coordinate first and then the rest in ascending
     position, declaring the vector with the larger entry at the first
-    difference to be the smaller monomial.  The "lex" completion keeps the
-    distinguished coordinate's role and orders the remaining coordinates
-    lexicographically instead.
+    difference to be the smaller monomial.
     """
 
     weights: Weights
     revlex_variable: int = 1
-    tie_break: str = "revlex"
 
     def __post_init__(self) -> None:
         if not 1 <= self.revlex_variable <= self.weights.n:
@@ -48,8 +43,6 @@ class OrderConfig:
                 f"revlex_variable must be in 1..{self.weights.n},"
                 f" got {self.revlex_variable}"
             )
-        if self.tie_break not in _TIE_BREAKS:
-            raise ValueError(f"unknown tie_break {self.tie_break!r}")
 
     def with_revlex(self, variable: int) -> "OrderConfig":
         return replace(self, revlex_variable=variable)
@@ -59,12 +52,8 @@ class OrderConfig:
         comparison; usable as a sort or heap key."""
         p = self.weights.entries
         deg = sum(a * b for a, b in zip(v, p))
-        if self.tie_break == "revlex":
-            scan = _scan_order(len(p), self.revlex_variable)
-            return (deg,) + tuple(-v[i] for i in scan)
-        first = self.revlex_variable - 1
-        rest = tuple(v[i] for i in range(len(p)) if i != first)
-        return (deg, -v[first]) + rest
+        scan = _scan_order(len(p), self.revlex_variable)
+        return (deg,) + tuple(-v[i] for i in scan)
 
 
 def _validate(v: Vector, n: int) -> None:
@@ -80,17 +69,4 @@ def compare(a: Vector, b: Vector, cfg: OrderConfig) -> int:
     _validate(b, n)
     ka = cfg.sort_key(a)
     kb = cfg.sort_key(b)
-    if ka < kb:
-        return LT
-    if ka > kb:
-        return GT
-    return EQ
-
-
-def divides(a: Vector, b: Vector) -> bool:
-    """True iff x^a divides x^b, i.e. a <= b componentwise."""
-    if len(a) != len(b):
-        raise ValueError(f"dimension mismatch: {len(a)} versus {len(b)}")
-    if any(x < 0 for x in a) or any(x < 0 for x in b):
-        raise ValueError("divisibility is defined on nonnegative vectors")
-    return all(x <= y for x, y in zip(a, b))
+    return (ka > kb) - (ka < kb)

@@ -7,6 +7,7 @@ from __future__ import annotations
 import random
 import sys
 from functools import cached_property
+from math import prod
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent))
 
 from frobgb import AperyTable, Solution
+from frobgb.hilbert import enumeration_caps
 
 from helpers import random_weights
 
@@ -33,16 +35,8 @@ class Instance(Solution):
 
 
 def _hilbert_box(inst, t):
-    # mirror of the enumeration bound used by the Hilbert module
-    p = inst.weights.entries
-    gens = inst.ideal.sorted_generators()
-    box = t // p[0] + 1
-    for i in range(1, len(p)):
-        pure = min(
-            g[i] for g in gens if g[i] and all(x == 0 for j, x in enumerate(g) if j != i)
-        )
-        box *= min(t // p[i], pure - 1) + 1
-    return box
+    # the candidate count that hilbert_value holds to its budget
+    return prod(b + 1 for b in enumeration_caps(inst, t))
 
 
 def build_pool():

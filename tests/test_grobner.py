@@ -317,12 +317,11 @@ def test_rendering():
 def test_matches_the_all_pairs_reference(pool):
     # the pair criteria and the reducer lookup must not change any basis
     for inst in pool:
-        for tie_break in ("revlex", "lex"):
-            for rv in range(1, inst.weights.n + 1):
-                cfg = OrderConfig(inst.weights, revlex_variable=rv, tie_break=tie_break)
-                G = lattice_groebner(inst.weights, inst.reduced_rows, cfg)
-                expected = reference_groebner(inst.reduced_rows, cfg)
-                assert [(g.head, g.tail) for g in G.elements] == expected, cfg
+        for rv in range(1, inst.weights.n + 1):
+            cfg = OrderConfig(inst.weights, revlex_variable=rv)
+            G = lattice_groebner(inst.weights, inst.reduced_rows, cfg)
+            expected = reference_groebner(inst.reduced_rows, cfg)
+            assert [(g.head, g.tail) for g in G.elements] == expected, cfg
 
 
 def test_saturation_matches_sympy():

@@ -19,6 +19,7 @@ from frobgb import (
     apery_frobenius,
     dp_representable,
 )
+from frobgb.oracle import MODULUS_LIMIT
 
 from helpers import dot, random_weights
 
@@ -147,5 +148,8 @@ def test_dp_representable_window():
 def test_modulus_cap():
     with pytest.raises(OracleScaleExceeded):
         AperyTable.build(Weights((11, 13)), limit=10)
+    beyond = Weights((MODULUS_LIMIT + 1, MODULUS_LIMIT + 3))
     with pytest.raises(OracleScaleExceeded):
-        apery_frobenius(Weights((10**6 + 1, 10**6 + 3)))
+        apery_frobenius(beyond)
+    with pytest.raises(OracleScaleExceeded):
+        dp_representable(beyond, 5)
