@@ -7,21 +7,45 @@ binomials: every S-polynomial and every reduction of a binomial is again a
 binomial, represented here as an oriented pair of exponent tuples.
 
 The basis rows only generate the kernel ideal up to saturation by the
-product of the variables.  One pass per variable fixes this: under an order
+product of the variables.  One pass per variable saturates: under an order
 whose cheapest variable is x_i, the head of a primitive homogeneous binomial
 is x_i-free, and stripping common variable factors from a basis computed in
 that order realises the quotient by powers of x_i.  The grading is positive,
-so a single pass over all variables suffices.
+so a single pass over the variables suffices, and one variable x_j may be
+left out: for any Z-basis B of the lattice L and any j,
 
-The basis does not depend on the pass order, but the time does, nearly all
-of it in the first pass, the only one on the unsaturated ideal.  The passes
-run by decreasing max |r_i| * p_i over the rows r, the largest degree x_i
-reaches in a row, and end with the requested cheapest variable, so the last
-run is in the target order.  On LLL rows this is close to decreasing weight
-and keeps a light variable out of the first pass (27 s with x_2 cheapest on
-(92363017, 2, 18956779, 58102191, 70656069), milliseconds with x_5).  On
-unreduced kernel rows it puts x_2 first, as index order does; weight order
-alone stalls there on some 4-digit instances that index order solves.
+    I_B : (prod_{i != j} x_i)^inf = I_L.
+
+Write u in L as u = sum_b c_b * b and walk from u- to u+ by the moves
+sign(c_b) * b, first every move that raises the x_j exponent, then every
+move that lowers it.  That exponent climbs from u-_j >= 0 and then falls to
+u+_j >= 0, so it stays >= 0 throughout.  A move w -> w + s is
+x^w - x^(w+s) = x^(w-s-) * (x^(s-) - x^(s+)), and x^(w-s-) has x_j
+exponent min(w_j, w_j + s_j) >= 0, so x^(u+) - x^(u-) lies in
+I_B * k[x][x_i^-1 : i != j], and a power of prod_{i != j} x_i multiplies it
+into I_B.  Every pass stays inside I_L, so saturating all variables but one
+already gives I_L, and for n >= 3 the basis takes n - 1 Buchberger runs.
+
+The basis does not depend on the pass order, but the time does.  The first
+pass is the only one on the unsaturated ideal, and on skewed weights nearly
+all of the time goes there; on balanced weights no pass dominates.  The
+passes run by decreasing max |r_i| * p_i over the rows r, the largest degree
+x_i reaches in a row, and end with the requested cheapest variable, so the
+last run is in the target order.  On LLL rows this is close to decreasing
+weight and keeps a light variable out of the first pass (27 s with x_2
+cheapest on (92363017, 2, 18956779, 58102191, 70656069), milliseconds with
+x_5).  On unreduced kernel rows it puts x_2 first, as index order does;
+weight order alone stalls there on some 4-digit instances that index order
+solves.
+
+The pass left out is the second of this order.  The first stays because it
+decides whether a skewed input stalls: on unreduced rows of 160 random
+inputs (n = 3..6, 2 to 8 digits, half with one weight <= 30), 6 ran past a
+3 s limit with every pass or without the second, 27 without the first.  The
+last stays to end in the target order.  Over the 21 fstar-n56 benchmark
+instances on LLL rows (sums of per-instance minima of 7 interleaved runs)
+the saturation took 1.02 s with every pass, 0.81 s without the second,
+0.77 s without the first and 0.87 s without the last non-target one.
 
 Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
 (criteria B, M and F and the product criterion, see _buchberger) and drops
@@ -35,7 +59,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import mul
+from operator import add, mul, sub
 
 from .arith import (
     Vector,
@@ -114,10 +138,6 @@ def _orient(u: Vector, v: Vector, key) -> tuple[Vector, Vector] | None:
     if ku == kv:
         return None
     return (u, v) if ku > kv else (v, u)
-
-
-def _lcm(a: Vector, b: Vector) -> Vector:
-    return tuple(x if x > y else y for x, y in zip(a, b))
 
 
 def _support(v: Vector) -> int:
@@ -226,8 +246,8 @@ def _buchberger(gens, cfg: OrderConfig):
             for (i, j), (lcm, lmask) in pairs.items()
             if not mk & ~lmask
             and _divides(h, lcm)
-            and _lcm(heads[i], h) != lcm
-            and _lcm(heads[j], h) != lcm
+            and tuple(map(max, heads[i], h)) != lcm
+            and tuple(map(max, heads[j], h)) != lcm
         ]
         for ij in doomed:
             del pairs[ij]
@@ -236,25 +256,26 @@ def _buchberger(gens, cfg: OrderConfig):
         # excess of head i over h, so lcm(j, k) divides lcm(i, k) exactly
         # when q_j <= q_i.  Sorted by degree, a strict divisor comes first
         # and equal lcms are adjacent.
-        new = sorted(
-            (sum(map(mul, q, p)), q, i, _support(q), not r[0] & mk)
-            for i, r in zip(active, reducers)
-            for q in (tuple(a - b if a > b else 0 for a, b in zip(r[1], h)),)
-        )
+        new = []
+        for i, (mask, hi, _) in zip(active, reducers):
+            q = tuple(map(sub, map(max, hi, h), h))
+            new.append((sum(map(mul, q, p)), q, i, _support(q), not mask & mk))
+        new.sort()
         groups: list[list] = []  # one per lcm that survives M
         for _, q, i, qmask, coprime in new:
             if groups and groups[-1][0] == q:
                 groups[-1][3] |= coprime
-            elif not any(
-                not g[2] & ~qmask and all(x <= y for x, y in zip(g[0], q))
-                for g in groups
-            ):
+                continue
+            for g in groups:
+                if not g[2] & ~qmask and _divides(g[0], q):
+                    break
+            else:
                 groups.append([q, i, qmask, coprime])
         # criterion F keeps the first pair of each lcm; the product criterion
         # drops the lcm when any of its pairs is coprime
         for q, i, _, coprime in groups:
             if not coprime:
-                lcm = tuple(a + b for a, b in zip(h, q))
+                lcm = tuple(map(add, h, q))
                 pairs[(i, k)] = (lcm, _support(lcm))
                 heappush(heap, (key(lcm), i, k))
 
@@ -307,6 +328,13 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     saturated by decreasing largest row degree (see the module docstring)
     and the requested order's cheapest variable last, so the final
     Buchberger run happens in the target order.
+
+    The second variable of that order is not saturated: for any Z-basis B
+    of the lattice L and any variable x_j, I_B : (prod_{i != j} x_i)^inf is
+    already I_L.  Write u in L as a combination of B and apply its moves to
+    x^(u-), the ones that raise the x_j exponent first; that exponent then
+    never drops below 0, so x^(u+) - x^(u-) lies in
+    I_B * k[x][x_i^-1 : i != j].
     """
     if cfg.weights != p:
         raise ValueError("order configuration was built for different weights")
@@ -323,7 +351,9 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     passes = sorted(
         (v for v in range(1, n + 1) if v != cfg.revlex_variable),
         key=lambda v: -p.entries[v - 1] * max(abs(r[v - 1]) for r in rows),
-    ) + [cfg.revlex_variable]
+    )
+    del passes[1:2]  # the saturation needs all variables but one
+    passes.append(cfg.revlex_variable)
     for var in passes:
         pass_cfg = cfg.with_revlex(var)
         key = pass_cfg.sort_key

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
+from operator import le
 
 from .arith import Vector, Weights, _check_dim
 
@@ -39,7 +40,7 @@ __all__ = [
 
 
 def _divides(a: Vector, b: Vector) -> bool:
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def minimalize(gens) -> frozenset[Vector]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from operator import mul
 
 from .arith import Vector, Weights, _check_dim
 
@@ -51,9 +52,8 @@ class OrderConfig:
         """Monotone embedding of the order into tuples under lexicographic
         comparison; usable as a sort or heap key."""
         p = self.weights.entries
-        deg = sum(a * b for a, b in zip(v, p))
         scan = _scan_order(len(p), self.revlex_variable)
-        return (deg,) + tuple(-v[i] for i in scan)
+        return (sum(map(mul, v, p)), *[-v[i] for i in scan])
 
 
 def _validate(v: Vector, n: int) -> None:

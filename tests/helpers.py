@@ -137,8 +137,9 @@ def random_weights(rng, n_lo, n_hi, lo, hi):
 # The plain all-pairs binomial Buchberger that lattice_groebner used before
 # it gained pair criteria and a reducer lookup: every pair of inserted
 # elements is queued (only coprime heads are skipped), and every inserted
-# element stays a reducer.  The reduced basis is unique, so the library's
-# faster loop must return exactly the same elements.
+# element stays a reducer.  It saturates every variable, in index order, so
+# it also checks that the library may skip one pass.  The reduced basis is
+# unique, so the library's faster loop must return exactly the same elements.
 
 
 def _ref_strip(h, t):
@@ -211,8 +212,9 @@ def reference_groebner(rows, cfg):
     """Reduced basis of the saturated lattice ideal of the kernel rows under
     cfg, as a list of (head, tail) pairs in ascending head order.
 
-    Saturates one variable per pass, the order's own cheapest variable
-    last, exactly as lattice_groebner does; only the order's sort key is
+    The full-saturation reference: one pass for every variable, in index
+    order with the order's own cheapest variable last, where lattice_groebner
+    skips one pass and picks its own order.  Only the order's sort key is
     borrowed from the library."""
     n = len(cfg.weights.entries)
     cur = [

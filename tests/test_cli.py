@@ -170,6 +170,20 @@ def test_deterministic_output():
     assert first == second
 
 
+def test_interleaved_runs_share_no_state():
+    # neither an option (--json, --t) nor an error may carry over from one
+    # run into the next, whether or not the runs share a parser
+    sequence = [
+        (("number", "--json", "4", "6"), 2, ""),
+        (("test", "--t", "30", "6", "10", "15"), 0, "yes 5 0 0\n"),
+        (("number", "6", "10", "15"), 0, "29\n"),
+        (("test", "6", "10", "15"), 2, ""),
+    ]
+    for _ in range(2):
+        for argv, code, out in sequence:
+            assert invoke(*argv)[:2] == (code, out), argv
+
+
 def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "frobgb", "number", "6", "10", "15"],

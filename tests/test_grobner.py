@@ -12,6 +12,7 @@ import time
 
 import pytest
 
+import frobgb.grobner as grobner
 from frobgb import (
     AperyTable,
     Binomial,
@@ -315,19 +316,49 @@ def test_rendering():
 
 
 def test_matches_the_all_pairs_reference(pool):
-    # the pair criteria and the reducer lookup must not change any basis
+    # neither the pair criteria, the reducer lookup nor the skipped
+    # saturation pass may change any basis, on reduced or unreduced rows
     for inst in pool:
-        for rv in range(1, inst.weights.n + 1):
-            cfg = OrderConfig(inst.weights, revlex_variable=rv)
-            G = lattice_groebner(inst.weights, inst.reduced_rows, cfg)
-            expected = reference_groebner(inst.reduced_rows, cfg)
-            assert [(g.head, g.tail) for g in G.elements] == expected, cfg
+        for rows in (inst.reduced_rows, inst.kernel_rows):
+            for rv in range(1, inst.weights.n + 1):
+                cfg = OrderConfig(inst.weights, revlex_variable=rv)
+                G = lattice_groebner(inst.weights, rows, cfg)
+                expected = reference_groebner(rows, cfg)
+                assert [(g.head, g.tail) for g in G.elements] == expected, (cfg, rows)
+
+
+def test_saturation_skips_one_pass(monkeypatch):
+    # one Buchberger run per variable but one once n >= 3; with n = 2 the
+    # only other variable and the cheapest one both run
+    runs = []
+    original = grobner._buchberger
+
+    def counting(gens, cfg):
+        runs.append(cfg.revlex_variable)
+        return original(gens, cfg)
+
+    monkeypatch.setattr(grobner, "_buchberger", counting)
+    rng = random.Random(SEED + 7)
+    cases = [random_weights(rng, 2, 6, 2, 60) for _ in range(12)]
+    cases += [(1, 7, 9), (5, 1, 9, 13), (2, 9), (9, 2, 15, 31), (61, 2, 37, 45, 13, 1)]
+    for entries in cases:
+        p = Weights(entries)
+        for rows in (kernel_basis(p), lll_reduce(kernel_basis(p))):
+            for rv in range(1, p.n + 1):
+                cfg = OrderConfig(p, revlex_variable=rv)
+                runs.clear()
+                G = lattice_groebner(p, rows, cfg)
+                assert len(runs) == (p.n - 1 if p.n >= 3 else p.n), (entries, rv)
+                assert len(set(runs)) == len(runs) and runs[-1] == rv, (entries, runs)
+                expected = reference_groebner(rows, cfg)
+                assert [(g.head, g.tail) for g in G.elements] == expected, (cfg, rows)
 
 
 def test_saturation_matches_sympy():
     # an ideal check independent of our Buchberger: sympy saturates the
     # kernel-row ideal I by eliminating t from I + <1 - t*x1*...*xn>, and
-    # equal ideals have equal reduced bases in sympy's grevlex
+    # equal ideals have equal reduced bases in sympy's grevlex; it saturates
+    # by every variable, where lattice_groebner skips one pass
     sympy = pytest.importorskip("sympy")
 
     def binomial(xs, v):
@@ -336,16 +367,20 @@ def test_saturation_matches_sympy():
         )
 
     rng = random.Random(SEED + 6)
-    for _ in range(20):
-        p = Weights(random_weights(rng, 3, 4, 2, 15))
+    cases = [random_weights(rng, 3, 4, 2, 15) for _ in range(20)]
+    cases += [random_weights(rng, 2, 2, 2, 15) for _ in range(3)]
+    cases += [random_weights(rng, 5, 5, 2, 9) for _ in range(3)]
+    for entries in cases:
+        p = Weights(entries)
         xs = sympy.symbols(f"x1:{p.n + 1}")
         t = sympy.Symbol("t")
-        rows = lll_reduce(kernel_basis(p))
-        gens = [binomial(xs, r) for r in rows] + [1 - t * sympy.Mul(*xs)]
-        elim = sympy.groebner(gens, t, *xs, order="lex")
-        saturation = [g for g in elim.exprs if not g.has(t)]
-        expected = sympy.groebner(saturation, *xs, order="grevlex").exprs
-        for rv in range(1, p.n + 1):
-            G = lattice_groebner(p, rows, OrderConfig(p, revlex_variable=rv))
-            ours = [binomial(xs, g.vector) for g in G.elements]
-            assert sympy.groebner(ours, *xs, order="grevlex").exprs == expected, (p, rv)
+        for rows in (kernel_basis(p), lll_reduce(kernel_basis(p))):
+            gens = [binomial(xs, r) for r in rows] + [1 - t * sympy.Mul(*xs)]
+            elim = sympy.groebner(gens, t, *xs, order="lex")
+            saturation = [g for g in elim.exprs if not g.has(t)]
+            expected = sympy.groebner(saturation, *xs, order="grevlex").exprs
+            for rv in range(1, p.n + 1):
+                G = lattice_groebner(p, rows, OrderConfig(p, revlex_variable=rv))
+                ours = [binomial(xs, g.vector) for g in G.elements]
+                got = sympy.groebner(ours, *xs, order="grevlex").exprs
+                assert got == expected, (p, rows, rv)
