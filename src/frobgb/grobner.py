@@ -24,28 +24,58 @@ x^w - x^(w+s) = x^(w-s-) * (x^(s-) - x^(s+)), and x^(w-s-) has x_j
 exponent min(w_j, w_j + s_j) >= 0, so x^(u+) - x^(u-) lies in
 I_B * k[x][x_i^-1 : i != j], and a power of prod_{i != j} x_i multiplies it
 into I_B.  Every pass stays inside I_L, so saturating all variables but one
-already gives I_L, and for n >= 3 the basis takes n - 1 Buchberger runs.
+already gives I_L.
+
+Most inputs need only two runs, and a count of standard monomials says
+which.  Let J, inside I_L, be the ideal of a reduced basis G in the order
+with x_rv cheapest.  The x_rv-free monomials outside in(J) number exactly
+p_rv if and only if J = I_L:
+
+1. in(J + x_rv) = in(J) + x_rv.  Take f = g + x_rv * h homogeneous with
+   g in J and an x_rv-free head.  In one degree every x_rv-free monomial
+   is above every x_rv-divisible one, and the x_rv-free terms of g are
+   those of f, so in(f) = in(g) lies in in(J).  So the count is
+   dim k[x]/(J + x_rv).
+2. dim k[x]/(I_L + x_rv) = p_rv.  k[x]/I_L is the semigroup ring of the
+   weights, and dividing it by t^(p_rv) leaves one monomial per element
+   of the Apery set of p_rv, one per residue class mod p_rv.
+3. J + x_rv is inside I_L + x_rv, so the count is at least p_rv, and
+   equality makes the two ideals equal.  Then J = I_L: let f be a
+   homogeneous element of I_L of least degree outside J, and write
+   f = g + x_rv * h with g in J.  x_rv * h = f - g lies in I_L, which is
+   prime and holds no variable, so h lies in I_L, hence in J by the
+   minimality of f, and f lies in J.
+
+The count is monideal.colength on the heads with the x_rv coordinate
+removed; it is None, and certifies nothing, when some variable has no pure
+power among them.  Compare Bigatti, La Scala and Robbiano 1999, "Computing
+toric ideals".
 
 The basis does not depend on the pass order, but the time does.  The first
 pass is the only one on the unsaturated ideal, and on skewed weights nearly
 all of the time goes there; on balanced weights no pass dominates.  The
-passes run by decreasing max |r_i| * p_i over the rows r, the largest degree
-x_i reaches in a row, and end with the requested cheapest variable, so the
-last run is in the target order.  On LLL rows this is close to decreasing
-weight and keeps a light variable out of the first pass (27 s with x_2
-cheapest on (92363017, 2, 18956779, 58102191, 70656069), milliseconds with
-x_5).  On unreduced kernel rows it puts x_2 first, as index order does;
-weight order alone stalls there on some 4-digit instances that index order
-solves.
+variables are ordered by decreasing max |r_i| * p_i over the rows r, the
+largest degree x_i reaches in a row.  On LLL rows this is close to
+decreasing weight and keeps a light variable out of the first pass (27 s
+with x_2 cheapest on (92363017, 2, 18956779, 58102191, 70656069),
+milliseconds with x_5).  On unreduced kernel rows it puts x_2 first, as
+index order does; weight order alone stalls there on some 4-digit
+instances that index order solves.
 
-The pass left out is the second of this order.  The first stays because it
-decides whether a skewed input stalls: on unreduced rows of 160 random
-inputs (n = 3..6, 2 to 8 digits, half with one weight <= 30), 6 ran past a
-3 s limit with every pass or without the second, 27 without the first.  The
-last stays to end in the target order.  Over the 21 fstar-n56 benchmark
-instances on LLL rows (sums of per-instance minima of 7 interleaved runs)
-the saturation took 1.02 s with every pass, 0.81 s without the second,
-0.77 s without the first and 0.87 s without the last non-target one.
+lattice_groebner runs the first variable of this order and then the
+requested cheapest variable rv, so the second run is in the target order,
+and counts.  When the count is not p_rv it saturates the rest of the order
+but its second variable, then runs rv again: n runs in all for n >= 4.
+For n <= 3 the two runs already saturate all variables but one, and the
+count is skipped.  The first run stays because it decides whether a skewed
+input stalls: on unreduced rows of 160 random inputs (n = 3..6, 2 to 8
+digits, half with one weight <= 30), 6 ran past a 3 s limit with every
+pass or without the second, 27 without the first.  All 21 fstar-n56
+benchmark instances and all 40 cli-small instances take two runs.  Over the
+fstar-n56 instances on LLL rows (sums of per-instance minima of 7 runs,
+five alternating pairs, 2-core x86-64, Python 3.11) the saturation took
+0.58-0.73 s with n - 1 runs and 0.30-0.48 s with two runs and the count, of
+which the count is about 0.05 s.
 
 Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
 (criteria B, M and F and the product criterion, see _buchberger) and drops
@@ -70,7 +100,7 @@ from .arith import (
     pdegree,
     positive_part,
 )
-from .monideal import _check_head_shape, _divides
+from .monideal import _check_head_shape, _divides, colength
 from .order import GT, LT, OrderConfig, compare
 
 __all__ = [
@@ -320,21 +350,44 @@ def _interreduce(basis, key):
     return [(h, _nf_monomial(t, reducers)) for h, t in kept]
 
 
+def _saturate(cur, passes, cfg: OrderConfig):
+    """One Buchberger run per variable of passes, each in the order that
+    makes that variable cheapest; returns the last run's reduced basis."""
+    for var in passes:
+        pass_cfg = cfg.with_revlex(var)
+        key = pass_cfg.sort_key
+        oriented = []
+        for a, b in cur:
+            pair = _orient(a, b, key)
+            if pair is None:
+                continue
+            oriented.append(_strip(*pair))
+        cur = _interreduce(_buchberger(oriented, pass_cfg), key)
+    return cur
+
+
 def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     """Reduced Groebner basis of the saturated kernel lattice ideal.
 
     basis_rows must be n-1 linearly independent rows spanning the kernel
-    lattice of p (weighted degree 0 each).  The other variables are
-    saturated by decreasing largest row degree (see the module docstring)
-    and the requested order's cheapest variable last, so the final
-    Buchberger run happens in the target order.
+    lattice of p (weighted degree 0 each).  Two Buchberger runs come first:
+    one with the variable of largest row degree cheapest, then one in the
+    target order, with rv = cfg.revlex_variable cheapest.  Their ideal J is
+    inside I_L, and J = I_L exactly when the rv-free monomials outside the
+    head ideal number p_rv (the Apery count): in(J + x_rv) = in(J) + x_rv
+    because in one degree every x_rv-free monomial beats every
+    x_rv-divisible one; k[x]/(I_L + x_rv) has one standard monomial per
+    Apery element of p_rv; and J + x_rv = I_L + x_rv gives J = I_L by
+    induction on degree, since I_L is prime and holds no variable.
 
-    The second variable of that order is not saturated: for any Z-basis B
-    of the lattice L and any variable x_j, I_B : (prod_{i != j} x_i)^inf is
-    already I_L.  Write u in L as a combination of B and apply its moves to
-    x^(u-), the ones that raise the x_j exponent first; that exponent then
-    never drops below 0, so x^(u+) - x^(u-) lies in
-    I_B * k[x][x_i^-1 : i != j].
+    When the count differs, the other variables but the second of the
+    row-degree order are saturated and rv runs again.  That is exact too:
+    for any Z-basis B of the lattice L and any variable x_j,
+    I_B : (prod_{i != j} x_i)^inf is already I_L.  Write u in L as a
+    combination of B and apply its moves to x^(u-), the ones that raise the
+    x_j exponent first; that exponent then never drops below 0, so
+    x^(u+) - x^(u-) lies in I_B * k[x][x_i^-1 : i != j].  The module
+    docstring has both proofs in full.
     """
     if cfg.weights != p:
         raise ValueError("order configuration was built for different weights")
@@ -347,23 +400,18 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
             raise ValueError(f"basis row {r} is not homogeneous: degree {pdegree(r, p)}")
     _gram_schmidt(rows)  # raises on linearly dependent rows
 
-    cur = [(positive_part(r), negative_part(r)) for r in rows]
+    rv = cfg.revlex_variable
     passes = sorted(
-        (v for v in range(1, n + 1) if v != cfg.revlex_variable),
+        (v for v in range(1, n + 1) if v != rv),
         key=lambda v: -p.entries[v - 1] * max(abs(r[v - 1]) for r in rows),
     )
-    del passes[1:2]  # the saturation needs all variables but one
-    passes.append(cfg.revlex_variable)
-    for var in passes:
-        pass_cfg = cfg.with_revlex(var)
-        key = pass_cfg.sort_key
-        oriented = []
-        for a, b in cur:
-            pair = _orient(a, b, key)
-            if pair is None:
-                continue
-            oriented.append(_strip(*pair))
-        cur = _interreduce(_buchberger(oriented, pass_cfg), key)
+    cur = [(positive_part(r), negative_part(r)) for r in rows]
+    cur = _saturate(cur, passes[:1] + [rv], cfg)
+    rest = passes[2:]  # the second variable is never saturated
+    if rest:
+        heads = (h[: rv - 1] + h[rv:] for h, _ in cur)  # heads are x_rv-free
+        if colength(n - 1, heads) != p.entries[rv - 1]:
+            cur = _saturate(cur, rest + [rv], cfg)
 
     basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
     validate_basis(basis)

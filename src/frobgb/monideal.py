@@ -28,6 +28,7 @@ from .arith import Vector, Weights, _check_dim
 
 __all__ = [
     "MonomialIdeal",
+    "colength",
     "component_ideal",
     "contains_monomial",
     "format_component",
@@ -51,6 +52,50 @@ def minimalize(gens) -> frozenset[Vector]:
         if not any(_divides(k, g) for k in kept):
             kept.add(g)
     return frozenset(kept)
+
+
+def colength(n: int, gens) -> int | None:
+    """The number of monomials in n variables outside the ideal generated by
+    gens, or None when there are infinitely many.
+
+    Slices on the last variable.  Between consecutive distinct last
+    exponents c < c' of the generators (0 included), x^m * x_n^e with
+    c <= e < c' lies in the ideal exactly when x^m lies in the slice
+    generated by the g[:-1] with g_n <= c, so that interval adds c' - c
+    times the count of the slice in n - 1 variables.  Past the largest last
+    exponent the slice must be the unit ideal, or the count is infinite.
+    Equal slices are counted once, and every count is an exact integer, so
+    the cost depends on the generators, not on the size of their exponents.
+    """
+    gens = [tuple(g) for g in gens]
+    for g in gens:
+        _check_dim(g, n)
+        if any(x < 0 for x in g):
+            raise ValueError(f"generator {g} has a negative exponent")
+    memo: dict[frozenset[Vector], int | None] = {}
+
+    def count(k: int, ideal: frozenset[Vector]) -> int | None:
+        if not ideal:
+            return None if k else 1
+        if (0,) * k in ideal:
+            return 0
+        if ideal in memo:
+            return memo[ideal]
+        levels = sorted({g[-1] for g in ideal} | {0})
+        total: int | None = 0
+        below: set[Vector] = set()
+        for c, nxt in zip(levels, levels[1:] + [None]):
+            below.update(g[:-1] for g in ideal if g[-1] == c)
+            inner = count(k - 1, minimalize(below))
+            if nxt is None or inner is None:
+                if inner != 0:  # an infinite slice, or a last one that is not the unit
+                    total = None
+                break
+            total += (nxt - c) * inner
+        memo[ideal] = total
+        return total
+
+    return count(n, minimalize(gens))
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ general splitting decomposition.
 from __future__ import annotations
 
 import random
+import time
 from itertools import product
 
 import pytest
@@ -25,7 +26,7 @@ from frobgb import (
     irreducible_decomposition,
     irreducible_decomposition_general,
 )
-from frobgb.monideal import minimalize
+from frobgb.monideal import colength, minimalize
 
 from helpers import reference_decomposition
 from test_grobner import make_gb
@@ -70,6 +71,74 @@ def test_minimalize_and_constructor():
         MonomialIdeal(2, frozenset({(2, 0, 1)}))  # wrong dimension
     with pytest.raises(ValueError):
         MonomialIdeal(2, frozenset({(-1, 0)}))
+
+
+def brute_colength(n, gens):
+    """Count the standard monomials in the box [0, top]^n, top one past the
+    largest exponent; a standard monomial with a coordinate equal to top stays
+    standard however far that coordinate grows, so the count is infinite."""
+    top = max((x for g in gens for x in g), default=0) + 1
+    count = 0
+    for m in product(range(top + 1), repeat=n):
+        if not any(all(a <= b for a, b in zip(g, m)) for g in gens):
+            if top in m:
+                return None
+            count += 1
+    return count
+
+
+def test_colength_matches_enumeration():
+    rng = random.Random(SEED + 3)
+    finite = infinite = 0
+    for k in range(400):
+        n = k % 5
+        gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        if k % 2:  # artinian: a pure power of every variable
+            gens += [tuple(rng.randint(1, 5) if j == i else 0 for j in range(n)) for i in range(n)]
+        expected = brute_colength(n, gens)
+        assert colength(n, gens) == expected, (n, gens)
+        finite += expected is not None
+        infinite += expected is None
+    assert finite >= 200 and infinite >= 50
+
+
+def test_colength_edge_cases():
+    assert colength(0, []) == 1  # the ring k itself
+    assert colength(0, [()]) == 0
+    assert colength(3, []) is None
+    assert colength(2, [(0, 0), (1, 2)]) == 0  # the unit ideal
+    assert colength(2, [(2, 0), (1, 1), (0, 3)]) == 4
+    assert colength(2, [(2, 0), (1, 1)]) is None
+    start = time.perf_counter()
+    big = [(10**100, 0, 0), (0, 10**99, 0), (0, 0, 7), (1, 1, 1)]
+    assert colength(3, big) == 7 * 10**199 - 6 * (10**100 - 1) * (10**99 - 1)
+    assert time.perf_counter() - start < 0.1
+    with pytest.raises(ValueError, match="expected a vector of dimension"):
+        colength(2, [(1, 2, 3)])
+    with pytest.raises(ValueError, match="negative"):
+        colength(2, [(-1, 2)])
+
+
+def test_apery_count_on_pool_bases(pool):
+    # the x_1-free standard monomials of every basis are one per residue
+    # class mod p_1, each of degree the least representable in its class
+    for inst in pool:
+        heads = inst.basis.heads()
+        p = inst.weights.entries
+        n, p1 = len(p), p[0]
+        standard, stack = [], [((0,) * n, 1)]  # raise coordinates >= first
+        while stack:
+            m, first = stack.pop()
+            if any(all(a <= b for a, b in zip(h, m)) for h in heads):
+                continue
+            standard.append(m)
+            assert len(standard) <= p1, p
+            stack += [(m[:i] + (m[i] + 1,) + m[i + 1:], i) for i in range(first, n)]
+        degrees = [sum(a * w for a, w in zip(m, p)) for m in standard]
+        assert sorted(d % p1 for d in degrees) == list(range(p1)), p
+        for d in degrees:
+            assert inst.apery.representable(d) and not inst.apery.representable(d - p1), (p, d)
+        assert colength(n - 1, [h[1:] for h in heads]) == p1, p
 
 
 def test_zero_and_unit_flags():
