@@ -142,7 +142,9 @@ def solve_degree(p: Weights, t: int) -> Vector:
     """A vector a with a.p = t, a_1 <= 0 and a_i >= 0 for i >= 2.
 
     Starts from t times a gcd chain and adds the minimal k >= 0 multiples of
-    (-(p_2+...+p_n), p_1, ..., p_1) needed to reach the sign pattern.
+    (-(p_2+...+p_n), p_1, ..., p_1) needed to reach the sign pattern, so
+    the entries grow with t.  frobenius.is_representable does not use it;
+    it starts from the gcd chain taken mod p_1.
     """
     if t < 0:
         raise ValueError("t must be >= 0")

@@ -1,12 +1,24 @@
 """Representability of integers in the numerical semigroup of the weights,
 and the Frobenius number (the largest integer outside the semigroup).
 
-An integer t >= 0 is representable exactly when the division of the signed
-solution from solve_degree by the kernel basis ends in a nonnegative vector;
-that vector is then a witness.  The Frobenius number is the largest weighted
-degree over the corner vectors of the staircase of the head ideal; the
-corners are the irreducible components of the head ideal shifted by -1 in
-every coordinate, so they come from the one staircase walk in monideal.
+Representability reads one normal form whose size does not depend on t.
+With x_1 cheapest, no head of the basis G uses x_1, so the standard
+monomials are x_1^e * s with s an x_1-free standard monomial, and x_1 times
+a standard monomial is standard again.  The ring k[x]/I_L has one standard
+monomial in every representable degree and none elsewhere, so the x_1-free
+ones are the Apery set of p_1, one per residue class mod p_1 (step 2 of the
+grobner module docstring).  With c a gcd chain (c.p = 1), the monomial b
+with b_1 = 0 and b_i = t * c_i mod p_1 has b.p = t mod p_1 and entries
+below p_1; its normal form is x_1^e * s with s the Apery monomial of t's
+class.  Adding k = (t - b.p) / p_1 to its first coordinate gives the one
+vector of degree t of the form x_1^j * s: t is representable exactly when
+e + k >= 0, and that vector is then the standard monomial of degree t and
+the witness.  The work depends on p_1 and G, not on t.
+
+The Frobenius number is the largest weighted degree over the corner vectors
+of the staircase of the head ideal; the corners are the irreducible
+components of the head ideal shifted by -1 in every coordinate, so they
+come from the one staircase walk in monideal.
 
 Solution is the one pipeline, computed lazily and timed per phase;
 frobenius_number and the frob command both read from it.  It builds one
@@ -27,12 +39,12 @@ from .arith import (
     Vector,
     Weights,
     as_weights,
+    gcd_chain,
     kernel_basis,
     lll_reduce,
     pdegree,
-    solve_degree,
 )
-from .grobner import GroebnerBasis, lattice_groebner, reduce_binomial
+from .grobner import GroebnerBasis, _check_cheapest_first, lattice_groebner, normal_form
 from .monideal import MonomialIdeal, initial_ideal, irreducible_decomposition
 from .order import OrderConfig
 
@@ -55,23 +67,38 @@ def is_representable(
     """Decide whether t is a nonnegative integer combination of the weights.
 
     Negative t is trivially not representable.  On success the witness w
-    satisfies w >= 0 and w.p = t.
+    satisfies w >= 0 and w.p = t; it is the standard monomial of degree t.
+    G must have x_1 cheapest.  The rule, with c = gcd_chain(p):
+
+    1. b = (0, t*c_2 mod p_1, ..., t*c_n mod p_1), so b.p = t mod p_1;
+    2. r = normal_form(b, G) = x_1^e * s, with s the x_1-free standard
+       monomial, the Apery element, of t's class mod p_1;
+    3. add (t - b.p) / p_1 to r_1: t is representable exactly when the
+       result is >= 0, and it is then the witness.
+
+    Heads are x_1-free, so x_1-multiples of s stay standard, and the one
+    standard monomial of a representable degree t is x_1^j * s.  The work
+    depends on p_1 and G, not on t.
     """
     p = as_weights(p)
     if G.weights != p:
         raise ValueError("basis was computed for different weights")
+    _check_cheapest_first(G, "is_representable")
     if t < 0:
         return RepresentabilityResult(False, None)
     if p.n == 1:
         # the only valid single weight is 1
         return RepresentabilityResult(True, (t,))
-    a = solve_degree(p, t)
-    _, c = reduce_binomial(a, G)
-    if min(c) >= 0:
-        if pdegree(c, p) != t:
-            raise AssertionError("witness degree mismatch")
-        return RepresentabilityResult(True, c)
-    return RepresentabilityResult(False, None)
+    p1 = p.entries[0]
+    b = (0,) + tuple(t * c % p1 for c in gcd_chain(p)[1:])
+    r = normal_form(b, G)
+    e = r[0] + (t - pdegree(b, p)) // p1  # exact: b.p = t mod p_1
+    if e < 0:
+        return RepresentabilityResult(False, None)
+    w = (e,) + r[1:]
+    if pdegree(w, p) != t:
+        raise AssertionError("witness degree mismatch")
+    return RepresentabilityResult(True, w)
 
 
 PHASES = ("basis", "reduction", "groebner", "extraction")

@@ -463,16 +463,24 @@ def normal_form(m: Vector, G: GroebnerBasis) -> Vector:
     return _nf_monomial(m, G._reducers)
 
 
+def _check_cheapest_first(G: GroebnerBasis, caller: str) -> None:
+    """Raise unless x_1 is the cheapest variable of the basis order, so that
+    no head uses x_1."""
+    if G.order.revlex_variable != 1:
+        raise ValueError(f"{caller} needs a basis with cheapest variable 1")
+
+
 def reduce_binomial(a: Vector, G: GroebnerBasis) -> tuple[Vector, Vector]:
     """Divide x^(a+) - x^(a-) by the basis; return (w, c) with remainder
     x^w * (x^(c+) - x^(c-)) and x^(c-) below x^(c+) in the order.
 
     Requires the sign pattern a_1 <= 0, a_i >= 0 for i >= 2, and a basis
     whose cheapest variable is the first one; then no head touches x^(a-),
-    and c can only be negative in its first coordinate.
+    and c can only be negative in its first coordinate.  The work grows with
+    the size of a.  frobenius.is_representable does not divide here: it
+    normal-forms one monomial with entries below p_1 instead.
     """
-    if G.order.revlex_variable != 1:
-        raise ValueError("reduce_binomial needs a basis with cheapest variable 1")
+    _check_cheapest_first(G, "reduce_binomial")
     _check_dim(a, G.weights.n)
     if a[0] > 0 or any(x < 0 for x in a[1:]):
         raise ValueError("expected a_1 <= 0 and a_i >= 0 for i >= 2")

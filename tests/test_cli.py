@@ -8,6 +8,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 import warnings
 
 from frobgb.cli import run
@@ -36,6 +37,19 @@ def test_test_verdicts_and_exit_codes():
     assert (code, out) == (0, "yes 0 0 0\n")
     code, out, _ = invoke("test", "--t", "-5", "6", "10", "15")
     assert (code, out) == (1, "no\n")
+
+
+def test_test_time_does_not_grow_with_t():
+    # dividing a t-sized signed solution took over a minute at t = 3 * 10^6
+    # on these weights
+    start = time.perf_counter()
+    for t in (10**5, 10**9, 10**30):
+        code, out, _ = invoke("test", "--t", str(t), "54", "140", "71", "85")
+        assert code == 0 and out.startswith("yes "), (t, out)
+        w = [int(x) for x in out.split()[1:]]
+        assert min(w) >= 0
+        assert sum(a * b for a, b in zip(w, (54, 140, 71, 85))) == t
+    assert time.perf_counter() - start < 5.0
 
 
 def test_gb_listing():

@@ -21,10 +21,11 @@ from frobgb import (
     is_representable,
     kernel_basis,
     lattice_groebner,
+    normal_form,
     pdegree,
 )
 
-from helpers import dot, random_weights
+from helpers import dot, random_weights, reference_is_representable
 from test_cli import invoke
 from test_grobner import make_gb
 
@@ -86,6 +87,32 @@ def test_is_representable_window_against_oracle():
             if res.representable:
                 assert all(x >= 0 for x in res.witness)
                 assert dot(res.witness, entries) == t
+
+
+def test_is_representable_matches_division_route(pool):
+    # the residue-class normal form against the t-sized division it replaced
+    # and against the residue table: same verdicts, same witnesses.  The
+    # division runs past a second per call on some pool members at t near
+    # 10^30, (34, 139, 111, 75, 51) among them, so there the witness is
+    # checked to be the standard monomial of degree t, which is what the
+    # division returns whenever it finishes.
+    rng = random.Random(SEED + 3)
+    cases = [(inst, inst.apery) for inst in pool]
+    cases += [(Solution(e), AperyTable.build(e)) for e in [(5, 1, 9), (1, 7), (1,)]]
+    for sol, table in cases:
+        p, G = sol.weights, sol.basis
+        fstar = max(table.least) - table.modulus
+        for t in range(2 * fstar + 6):
+            got = is_representable(p, t, G)
+            assert got == reference_is_representable(p, t, G), (p.entries, t)
+            assert got.representable == table.representable(t), (p.entries, t)
+        for t in [rng.randrange(10**30) for _ in range(20)]:
+            got = is_representable(p, t, G)
+            assert got.representable == table.representable(t), (p.entries, t)
+            if got.representable:
+                w = got.witness
+                assert min(w) >= 0 and dot(w, p.entries) == t, (p.entries, t)
+                assert normal_form(w, G) == w, (p.entries, t)
 
 
 def test_huge_degree_witness():
