@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from collections.abc import Iterable
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -20,6 +21,7 @@ __all__ = [
     "Vector",
     "Weights",
     "as_weights",
+    "decimal_str",
     "gcd_chain",
     "kernel_basis",
     "lll_reduce",
@@ -29,6 +31,18 @@ __all__ = [
     "solve_degree",
     "xgcd",
 ]
+
+
+def decimal_str(n: int) -> str:
+    """``str(n)`` at any length.
+
+    ``str`` refuses ints past ``sys.get_int_max_str_digits()`` (4300 digits
+    by default); ``Decimal`` converts without that process-wide limit.
+    """
+    try:
+        return str(n)
+    except ValueError:
+        return str(Decimal(n))
 
 
 class CoprimeViolation(ValueError):
@@ -54,12 +68,12 @@ class Weights:
             if not isinstance(w, int) or isinstance(w, bool):
                 raise ValueError(f"weight {w!r} is not an integer")
             if w <= 0:
-                raise ValueError(f"weight {w} is not positive")
+                raise ValueError(f"weight {decimal_str(w)} is not positive")
         g = 0
         for w in entries:
             g = gcd(g, w)
         if g != 1:
-            raise CoprimeViolation(f"gcd is {g}, not 1")
+            raise CoprimeViolation(f"gcd is {decimal_str(g)}, not 1")
 
     @property
     def n(self) -> int:

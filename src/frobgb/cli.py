@@ -15,17 +15,24 @@ verdict is "no", 2 on invalid input, 3 when a request exceeds a resource
 limit (a Hilbert value whose enumeration box is over the budget).
 
 Each subcommand builds one frobenius.Solution and formats what it reads
-from it; the phase times come from the Solution's timings.
+from it; the phase times come from the Solution's timings.  The argument
+parser is built once per process, on the first run, and never mutated;
+each run parses into a fresh namespace.  --help writes through run's
+stdout and returns 0.  Integers of any length are read and printed exactly,
+past the interpreter's limit on str <-> int conversion.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import re
 import sys
 import time
+from decimal import Decimal
 
-from .arith import Weights
+from .arith import Weights, decimal_str
 from .frobenius import Solution, is_representable
 from .grobner import format_binomial
 from .hilbert import EnumerationTooLarge, hilbert_value, index_of_regularity
@@ -38,11 +45,19 @@ class _CLIError(Exception):
     pass
 
 
+class _HelpRequested(Exception):  # carries the help text out of parse_args
+    pass
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # keep diagnostics to one line and our exit codes
         raise _CLIError(message)
 
+    def print_help(self, file=None):  # run writes it to its own stdout
+        raise _HelpRequested(self.format_help())
 
+
+@functools.cache
 def _build_parser() -> _Parser:
     parser = _Parser(prog="frob", description="Frobenius numbers via lattice bases")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
@@ -67,6 +82,20 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# int()'s own grammar: what it rejects below the digit limit stays rejected
+_INT_TOKEN = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _parse_int(tok: str) -> int:
+    try:
+        return int(tok, 10)
+    except ValueError:
+        pass
+    if _INT_TOKEN.fullmatch(tok):  # past sys.get_int_max_str_digits()
+        return int(Decimal(tok))
+    raise _CLIError(f"not an integer: {tok!r}")
+
+
 def _read_weights(args) -> Weights:
     if args.file is not None:
         try:
@@ -81,20 +110,7 @@ def _read_weights(args) -> Weights:
         tokens = args.weights
     if not tokens:
         raise _CLIError("no weights given")
-    entries = []
-    for tok in tokens:
-        try:
-            entries.append(int(tok, 10))
-        except ValueError:
-            raise _CLIError(f"not an integer: {tok!r}")
-    return Weights(tuple(entries))
-
-
-def _parse_t(args) -> int:
-    try:
-        return int(args.t, 10)
-    except ValueError:
-        raise _CLIError(f"not an integer: {args.t!r}")
+    return Weights(tuple(_parse_int(tok) for tok in tokens))
 
 
 def run(argv, stdout=None, stderr=None) -> int:
@@ -112,19 +128,19 @@ def run(argv, stdout=None, stderr=None) -> int:
 
         if args.command == "number":
             fstar = sol.frobenius
-            payload["frobenius"] = str(fstar)
-            lines.append(str(fstar))
+            payload["frobenius"] = decimal_str(fstar)
+            lines.append(decimal_str(fstar))
 
         elif args.command == "test":
-            t = _parse_t(args)
+            t = _parse_int(args.t)
             res = sol.timed("extraction", is_representable, p, t, sol.basis)
-            payload["t"] = str(t)
+            payload["t"] = decimal_str(t)
             payload["representable"] = res.representable
             payload["witness"] = (
-                [str(x) for x in res.witness] if res.representable else None
+                [decimal_str(x) for x in res.witness] if res.representable else None
             )
             if res.representable:
-                lines.append("yes " + " ".join(str(x) for x in res.witness))
+                lines.append("yes " + " ".join(decimal_str(x) for x in res.witness))
             else:
                 lines.append("no")
                 code = 1
@@ -133,8 +149,8 @@ def run(argv, stdout=None, stderr=None) -> int:
             G = sol.basis
             payload["basis"] = [
                 {
-                    "head": [str(x) for x in g.head],
-                    "tail": [str(x) for x in g.tail],
+                    "head": [decimal_str(x) for x in g.head],
+                    "tail": [decimal_str(x) for x in g.tail],
                     "text": format_binomial(g),
                 }
                 for g in G.elements
@@ -143,27 +159,27 @@ def run(argv, stdout=None, stderr=None) -> int:
 
         elif args.command == "decomp":
             ordered = sorted(sol.components)
-            payload["components"] = [[str(x) for x in v] for v in ordered]
+            payload["components"] = [[decimal_str(x) for x in v] for v in ordered]
             lines.extend(format_component(v) for v in ordered)
 
         elif args.command == "hilbert":
-            t = _parse_t(args)
+            t = _parse_int(args.t)
             sol.ideal  # build the basis under its own phases, not inside extraction
             value = sol.timed("extraction", hilbert_value, sol, t)
-            payload["t"] = str(t)
-            payload["value"] = str(value)
-            lines.append(str(value))
+            payload["t"] = decimal_str(t)
+            payload["value"] = decimal_str(value)
+            lines.append(decimal_str(value))
 
         elif args.command == "regularity":
             reg = index_of_regularity(sol)  # Solution.components is timed already
-            payload["index_of_regularity"] = str(reg)
-            lines.append(str(reg))
+            payload["index_of_regularity"] = decimal_str(reg)
+            lines.append(decimal_str(reg))
 
         elapsed = {**sol.timings, "total": time.perf_counter() - total_start}
         if args.json:
             doc = {
                 "command": args.command,
-                "p": [str(w) for w in p.entries],
+                "p": [decimal_str(w) for w in p.entries],
                 **payload,
                 "elapsed": {k: round(v, 6) for k, v in elapsed.items()},
             }
@@ -175,6 +191,9 @@ def run(argv, stdout=None, stderr=None) -> int:
             for phase, seconds in elapsed.items():
                 print(f"{phase:<11} {seconds:.6f}s", file=err)
         return code
+    except _HelpRequested as e:
+        out.write(str(e))
+        return 0
     except EnumerationTooLarge as e:  # a ValueError, but not invalid input
         print(str(e), file=err)
         return 3

@@ -96,6 +96,7 @@ from .arith import (
     Weights,
     _check_dim,
     _gram_schmidt,
+    decimal_str,
     negative_part,
     pdegree,
     positive_part,
@@ -501,7 +502,7 @@ def format_monomial(v: Vector) -> str:
     for i, e in enumerate(v):
         if e == 0:
             continue
-        parts.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{e}")
+        parts.append(f"x{i + 1}" if e == 1 else f"x{i + 1}^{decimal_str(e)}")
     return "*".join(parts) if parts else "1"
 
 

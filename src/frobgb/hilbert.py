@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from math import prod
 
+from .arith import decimal_str
 from .frobenius import Solution
 
 __all__ = ["EnumerationTooLarge", "enumeration_caps", "hilbert_value", "index_of_regularity"]
@@ -57,7 +58,8 @@ def hilbert_value(sol: Solution, t: int) -> int:
     box = prod(b + 1 for b in bounds)
     if box > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
-            f"degree {t} spans {box} candidate monomials, over the limit {ENUMERATION_LIMIT}"
+            f"degree {decimal_str(t)} spans {decimal_str(box)} candidate monomials,"
+            f" over the limit {ENUMERATION_LIMIT}"
         )
 
     m = [0] * n

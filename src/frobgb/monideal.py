@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from operator import le
 
-from .arith import Vector, Weights, _check_dim
+from .arith import Vector, Weights, _check_dim, decimal_str
 
 __all__ = [
     "MonomialIdeal",
@@ -338,4 +338,4 @@ def _ideal_subset(I: MonomialIdeal, J: MonomialIdeal) -> bool:
 
 def format_component(v: Vector) -> str:
     """Render a component vector like ``(0,3,2)``."""
-    return "(" + ",".join(str(x) for x in v) + ")"
+    return "(" + ",".join(decimal_str(x) for x in v) + ")"

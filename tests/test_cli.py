@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 import warnings
+from decimal import Decimal
 
 from frobgb.cli import run
 
@@ -203,6 +204,74 @@ def test_interleaved_runs_share_no_state():
     for _ in range(2):
         for argv, code, out in sequence:
             assert invoke(*argv)[:2] == (code, out), argv
+
+
+def test_help_returns_through_stdout():
+    cases = ((["--help"], "usage: frob [-h]"), (["number", "--help"], "usage: frob number"))
+    for argv, usage in cases:
+        code, out, err = invoke(*argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(usage), out
+    proc = subprocess.run(
+        [sys.executable, "-m", "frobgb", "--help"], capture_output=True, text=True
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("usage: frob")
+
+
+def test_parser_is_built_once_per_process():
+    script = (
+        "import io\n"
+        "from frobgb import cli\n"
+        "print(cli._build_parser.cache_info().currsize)\n"
+        "for _ in range(2):\n"
+        "    assert cli.run(['number', '6', '10', '15'], stdout=io.StringIO()) == 0\n"
+        "print(cli._build_parser.cache_info().misses)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout) == (0, "0\n1\n"), proc.stderr
+
+
+def test_integers_past_the_str_digit_limit():
+    # str <-> int stops at 4300 digits by default; tokens and outputs here
+    # are longer, so every check goes through Decimal, never str(int)
+    big = "1" + "0" * 5000
+    p1, p2 = 10**2200 + 1, 10**2200 + 3
+    weights = ["1" + "0" * 2199 + d for d in "13"]
+    for flag in ([], ["--json"]):
+        code, out, err = invoke("test", *flag, "--t", big, "6", "10", "15")
+        assert (code, err) == (0, "")
+        if flag:
+            doc = json.loads(out)
+            assert doc["t"] == big and doc["representable"] is True
+            witness = [int(Decimal(x)) for x in doc["witness"]]
+        else:
+            assert out.startswith("yes ")
+            witness = [int(Decimal(x)) for x in out.split()[1:]]
+        assert min(witness) >= 0
+        assert sum(a * b for a, b in zip(witness, (6, 10, 15))) == 10**5000
+
+        code, out, err = invoke("number", *flag, *weights)
+        assert (code, err) == (0, "")
+        fstar = json.loads(out)["frobenius"] if flag else out
+        assert int(Decimal(fstar)) == p1 * p2 - p1 - p2
+    # basis exponents and components past the limit: x2^q1 - x1^q2, (0,q1)
+    q1, q2 = (big[:-1] + d for d in "13")
+    assert invoke("gb", q1, q2)[:2] == (0, f"x2^{q1} - x1^{q2}\n")
+    assert invoke("decomp", q1, q2)[:2] == (0, f"(0,{q1})\n")
+    doc = json.loads(invoke("gb", "--json", q1, q2)[1])
+    assert doc["basis"][0]["head"] == ["0", q1] and doc["basis"][0]["tail"] == [q2, "0"]
+    # diagnostics carry long integers too, with their own exit codes
+    code, out, err = invoke("hilbert", "--t", big, *weights)
+    assert (code, out) == (3, "") and err.startswith(f"degree {big} spans ")
+    code, _, err = invoke("number", "2" + big[1:], "4" + big[1:])
+    assert (code, err) == (2, f"gcd is {'2' + big[1:]}, not 1\n")
+    code, _, err = invoke("number", "-" + big, "3")
+    assert (code, err) == (2, f"weight -{big} is not positive\n")
+    # what int() rejects stays rejected, short or long
+    for tok in ("1e5", "1.0", "x", big + "e5", big + ".0"):
+        assert invoke("number", "6", "10", tok)[0] == 2, tok
+        assert invoke("test", "--t", tok, "6", "10", "15")[0] == 2, tok
 
 
 def test_module_entry_point():
