@@ -1,6 +1,6 @@
 """Frobenius numbers and representability via lattice ideal bases.
 
-The pipeline: a kernel basis of the weight vector (optionally LLL-reduced)
+The pipeline: an LLL-reduced kernel basis of the weight vector
 generates a homogeneous lattice ideal; a reduced Groebner basis under a
 degree-revlex order turns membership questions into exponent arithmetic.
 The largest non-representable integer falls out of the irreducible

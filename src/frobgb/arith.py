@@ -130,21 +130,32 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return g, x, y
 
 
+def _gcd_fold(p: Weights) -> list[list[int]]:
+    """Rows of a unimodular U with U.p = (1, 0, ..., 0), by a left fold of
+    extended gcds: row 0 is gcd_chain(p), rows 1.. are kernel_basis(p)."""
+    n = p.n
+    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    d = p.entries[0]
+    for i, w in enumerate(p.entries[1:], 1):
+        g, x, y = xgcd(d, w)
+        q0, qi = d // g, w // g
+        u[0], u[i] = (
+            [x * a + y * b for a, b in zip(u[0], u[i])],
+            [-qi * a + q0 * b for a, b in zip(u[0], u[i])],
+        )
+        d = g
+    if d != 1:  # unreachable for a validated Weights; kept as a guard
+        raise CoprimeViolation(f"gcd is {d}, not 1")
+    return u
+
+
 def gcd_chain(p: Weights) -> Vector:
-    """A vector v with v.p = 1, built by a left fold of extended gcds.
+    """A vector v with v.p = 1: row 0 of the extended-gcd fold.
 
     The coefficients are whatever back-substitution produces; they are not
     normalised beyond the defining identity.
     """
-    coeffs = [1]
-    g = p.entries[0]
-    for w in p.entries[1:]:
-        g, x, y = xgcd(g, w)
-        coeffs = [c * x for c in coeffs]
-        coeffs.append(y)
-    if g != 1:  # unreachable for a validated Weights; kept as a guard
-        raise CoprimeViolation(f"gcd is {g}, not 1")
-    return tuple(coeffs)
+    return tuple(_gcd_fold(p)[0])
 
 
 def _ceildiv(a: int, b: int) -> int:
@@ -178,21 +189,11 @@ def solve_degree(p: Weights, t: int) -> Vector:
 def kernel_basis(p: Weights) -> tuple[Vector, ...]:
     """n-1 rows spanning the full integer kernel lattice {v : v.p = 0}.
 
-    Row operations with unimodular 2x2 blocks reduce the column p to
-    (1, 0, ..., 0); the rows below the first then form a basis of the whole
-    kernel, not just a finite-index sublattice.
+    They are rows 1.. of the extended-gcd fold, whose row 0 is gcd_chain(p).
+    The fold is unimodular and reduces the column p to (1, 0, ..., 0), so
+    they span the whole kernel, not just a finite-index sublattice.
     """
-    n = p.n
-    u = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    d = list(p.entries)
-    for i in range(1, n):
-        g, x, y = xgcd(d[0], d[i])
-        q0, qi = d[0] // g, d[i] // g
-        r0 = [x * a + y * b for a, b in zip(u[0], u[i])]
-        ri = [-qi * a + q0 * b for a, b in zip(u[0], u[i])]
-        u[0], u[i] = r0, ri
-        d[0], d[i] = g, 0
-    rows = tuple(tuple(row) for row in u[1:])
+    rows = tuple(tuple(row) for row in _gcd_fold(p)[1:])
     for r in rows:
         if pdegree(r, p) != 0:
             raise AssertionError("kernel basis row has nonzero weighted degree")

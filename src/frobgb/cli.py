@@ -7,12 +7,12 @@
     frob hilbert --t 25 6 10 15    weighted Hilbert value at t
     frob regularity 6 10 15        index of regularity
 
-Weights may come from a file (--file, whitespace-separated tokens, # starts
-a comment).  --json switches to a machine-readable report with big integers
-as decimal strings; --time writes per-phase wall times to standard error;
---no-lll skips basis reduction.  Exit codes: 0 on success, 1 when a test
-verdict is "no", 2 on invalid input, 3 when a request exceeds a resource
-limit (a Hilbert value whose enumeration box is over the budget).
+Weights come either as arguments or from a file (--file, whitespace-separated
+tokens, # starts a comment), never both.  --json switches to a
+machine-readable report with big integers as decimal strings; --time writes
+per-phase wall times to standard error.  Exit codes: 0 on success, 1 when a
+test verdict is "no", 2 on invalid input, 3 when a request exceeds a
+resource limit (a Hilbert value whose enumeration box is over the budget).
 
 Each subcommand builds one frobenius.Solution and formats what it reads
 from it; the phase times come from the Solution's timings.  The argument
@@ -68,8 +68,6 @@ def _build_parser() -> _Parser:
     common.add_argument("--json", action="store_true", help="machine-readable output")
     common.add_argument("--time", dest="timing", action="store_true",
                         help="print per-phase wall times to stderr")
-    common.add_argument("--no-lll", dest="no_lll", action="store_true",
-                        help="skip basis reduction")
 
     sub.add_parser("number", parents=[common], help="largest non-representable integer")
     t = sub.add_parser("test", parents=[common], help="test one integer")
@@ -98,6 +96,8 @@ def _parse_int(tok: str) -> int:
 
 def _read_weights(args) -> Weights:
     if args.file is not None:
+        if args.weights:
+            raise _CLIError("weights given both as arguments and with --file")
         try:
             with open(args.file, encoding="utf-8") as f:
                 text = f.read()
@@ -121,7 +121,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         p = _read_weights(args)
-        sol = Solution(p, use_lll=not args.no_lll)
+        sol = Solution(p)
         code = 0
         payload: dict = {}
         lines: list[str] = []

@@ -21,11 +21,10 @@ components of the head ideal shifted by -1 in every coordinate, so they
 come from the one staircase walk in monideal.
 
 Solution is the one pipeline, computed lazily and timed per phase;
-frobenius_number and the frob command both read from it.  It builds one
-basis, in the degree-first order with x_1 cheapest (order.OrderConfig).
-use_lll=False skips the LLL reduction of the kernel rows: the reduced basis
-is the same, but saturating unreduced rows can be much slower on large
-weights, with no step budget.
+frobenius_number and the frob command both read from it.  Its one route
+builds the basis from the LLL-reduced kernel rows, in the degree-first order
+with x_1 cheapest (order.OrderConfig); unreduced rows give the same basis
+but can saturate seconds slower where reduced rows take milliseconds.
 """
 
 from __future__ import annotations
@@ -111,9 +110,8 @@ class Solution:
     phase.  Timed calls never nest, so the phases sum to at most the total.
     """
 
-    def __init__(self, p: Weights | Iterable[int], *, use_lll: bool = True) -> None:
+    def __init__(self, p: Weights | Iterable[int]) -> None:
         self.weights = as_weights(p)
-        self.use_lll = use_lll
         self.timings = dict.fromkeys(PHASES, 0.0)
 
     def timed(self, phase: str, fn, *args):
@@ -129,8 +127,6 @@ class Solution:
 
     @cached_property
     def reduced_rows(self) -> tuple[Vector, ...]:
-        if not self.use_lll:
-            return self.kernel_rows
         return self.timed("reduction", lll_reduce, self.kernel_rows)
 
     @cached_property
@@ -163,13 +159,12 @@ class Solution:
         return max(pdegree(a, self.weights) for a in self.corners)
 
 
-def frobenius_number(p: Weights | Iterable[int], *, use_lll: bool = True) -> int:
+def frobenius_number(p: Weights | Iterable[int]) -> int:
     """The largest integer that is not representable; -1 when every
     nonnegative integer is (single weight, or some weight equal to 1).
 
     Accepts a Weights instance or any iterable of positive coprime integers.
     f* is the largest weighted degree of a staircase corner (Solution.corners),
-    read off the irreducible decomposition of the head ideal.  use_lll=False
-    builds the basis from unreduced kernel rows; the value is the same.
+    read off the irreducible decomposition of the head ideal.
     """
-    return Solution(p, use_lll=use_lll).frobenius
+    return Solution(p).frobenius

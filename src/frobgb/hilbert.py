@@ -19,6 +19,7 @@ from math import prod
 
 from .arith import decimal_str
 from .frobenius import Solution
+from .monideal import _pure_power
 
 __all__ = ["EnumerationTooLarge", "enumeration_caps", "hilbert_value", "index_of_regularity"]
 
@@ -37,7 +38,7 @@ def enumeration_caps(sol: Solution, t: int) -> list[int]:
     gens = sol.ideal.generators
     caps = [t // p[0]]
     for i in range(1, len(p)):
-        pure = min(g[i] for g in gens if g[i] and all(x == 0 for j, x in enumerate(g) if j != i))
+        pure = min(e for g in gens if (e := _pure_power(g, i)))
         caps.append(min(t // p[i], pure - 1))
     return caps
 

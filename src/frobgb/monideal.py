@@ -175,6 +175,11 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_generators(I.n, lcms)
 
 
+def _pure_power(g: Vector, i: int) -> int | None:
+    """g_i when x^g is a pure power of variable i, else None."""
+    return g[i] if g[i] and not any(g[:i] + g[i + 1 :]) else None
+
+
 def _check_head_shape(heads, n: int, cheap: int = 0, bound: int | None = None) -> None:
     """The shape of the head ideal of a kernel lattice basis: no head uses
     the cheapest variable (index cheap), and every other variable has a pure
@@ -183,11 +188,8 @@ def _check_head_shape(heads, n: int, cheap: int = 0, bound: int | None = None) -
         if h[cheap]:
             raise ValueError(f"head {h} is divisible by the cheapest variable")
     for i in range(n):
-        if i != cheap and not any(
-            h[i] and (bound is None or h[i] <= bound)
-            and all(x == 0 for j, x in enumerate(h) if j != i)
-            for h in heads
-        ):
+        powers = [e for h in heads if (e := _pure_power(h, i))]
+        if i != cheap and (not powers or (bound is not None and min(powers) > bound)):
             at_most = "" if bound is None else f" at most {bound}"
             raise ValueError(
                 f"ideal is not artinian after projecting out the cheapest variable:"

@@ -28,6 +28,7 @@ import pytest
 
 from frobgb import (
     OrderConfig,
+    Solution,
     Weights,
     apery_frobenius,
     compare,
@@ -294,15 +295,15 @@ def test_c10_route_independence(pool):
     assert len(small) == 20
     for inst in small:
         p = inst.weights
-        variants = [frobenius_number(p, use_lll=lll) for lll in (True, False)]
-        assert len(set(variants)) == 1, p.entries
-        fstar = variants[0]
-
         rows = kernel_basis(p)
         bases = [
             lattice_groebner(p, lll_reduce(rows), OrderConfig(p)),
             lattice_groebner(p, rows, OrderConfig(p)),
         ]
+        unreduced = irreducible_decomposition(initial_ideal(bases[1]), p)
+        fstar = Solution(p).frobenius
+        assert fstar == max(pdegree(tuple(x - 1 for x in v), p) for v in unreduced), p.entries
+
         samples = {max(fstar - 1, 0), fstar, fstar + 1}
         samples.update(rng.randint(0, 2 * fstar + 5) for _ in range(7))
         for t in sorted(samples):

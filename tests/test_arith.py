@@ -21,6 +21,7 @@ from frobgb import (
 from frobgb.arith import negative_part, positive_part, xgcd
 
 from helpers import (
+    _det,
     check_lll,
     dot,
     integer_combination,
@@ -94,10 +95,16 @@ def test_gcd_chain():
     assert gcd_chain(Weights((6, 10, 15))) == (-14, 7, 1)
     assert gcd_chain(Weights((2, 3))) == (-1, 1)
     assert gcd_chain(Weights((1,))) == (1,)
+    # one extended-gcd fold gives the chain as row 0 and kernel_basis below it
     rng = random.Random(SEED + 2)
-    for _ in range(50):
-        entries = random_weights(rng, 1, 6, 1, 500)
-        assert dot(gcd_chain(Weights(entries)), entries) == 1
+    cases = [random_weights(rng, 1, 6, 1, 500) for _ in range(50)]
+    cases += [random_weights(rng, 2, 7, 1, 10**40) for _ in range(20)]
+    cases += [(1,), (10**99 + 7, 10**99 + 9), (10**99 + 1, 3 * 10**99 + 7, 10**100 - 1)]
+    for entries in cases:
+        p = Weights(entries)
+        chain = gcd_chain(p)
+        assert dot(chain, entries) == 1, entries
+        assert _det((chain,) + kernel_basis(p)) in (1, -1), entries
 
 
 def test_solve_degree_examples():

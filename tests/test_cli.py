@@ -12,6 +12,7 @@ import time
 import warnings
 from decimal import Decimal
 
+from frobgb import apery_frobenius
 from frobgb.cli import run
 
 
@@ -111,8 +112,9 @@ def test_file_input(tmp_path):
     path = tmp_path / "weights.txt"
     path.write_text("6 10 # the first two\n15\n# trailing comment\n")
     assert invoke("number", "--file", str(path))[:2] == (0, "29\n")
-    # file replaces any positional weights
-    assert invoke("number", "--file", str(path), "2", "3")[:2] == (0, "29\n")
+    # weights come from the file or the arguments, never both
+    code, out, err = invoke("number", "3", "5", "--file", str(path))
+    assert (code, out, err) == (2, "", "weights given both as arguments and with --file\n")
     code, _, err = invoke("number", "--file", str(tmp_path / "missing.txt"))
     assert code == 2 and err.strip()
     empty = tmp_path / "empty.txt"
@@ -181,9 +183,26 @@ def test_timing_output():
     assert sum(stamps[:4]) <= stamps[4] + 1e-5  # phases fit inside the total
 
 
-def test_no_lll_changes_nothing_visible():
-    for argv in (["number", "6", "10", "15"], ["gb", "7", "11", "13"]):
-        assert invoke(*argv)[1] == invoke(*argv, "--no-lll")[1]
+def test_one_route_to_the_basis():
+    # saturating the unreduced kernel rows of these weights takes about 22 s;
+    # every entry point now reduces them first, and the switch is gone
+    weights = ["638", "868", "447", "182", "875"]
+    start = time.perf_counter()
+    outs = []
+    for command in ("number", "gb"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobgb", command, *weights],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stderr) == (0, ""), proc.stderr
+        outs.append(proc.stdout)
+    assert time.perf_counter() - start < 10.0
+    assert outs[0] == "5499\n"
+    assert apery_frobenius(tuple(map(int, weights))) == 5499
+    assert outs[1] and outs[1] == invoke("gb", *weights)[1]
+    code, out, err = invoke("number", "--no-lll", "6", "10", "15")
+    assert (code, out) == (2, "") and "--no-lll" in err
 
 
 def test_deterministic_output():

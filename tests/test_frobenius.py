@@ -17,6 +17,8 @@ from frobgb import (
     apery_frobenius,
     contains_monomial,
     frobenius_number,
+    initial_ideal,
+    irreducible_decomposition,
     irreducible_decomposition_general,
     is_representable,
     kernel_basis,
@@ -233,14 +235,22 @@ def test_frobenius_number_fixture():
 
 
 def test_frobenius_number_routes_agree():
+    # Solution reduces the kernel rows; the basis of the unreduced rows,
+    # built directly, gives the same f*
     rng = random.Random(SEED + 1)
     cases = [(6, 10, 15), (7, 11, 13)] + [
         random_weights(rng, 2, 4, 2, 60) for _ in range(10)
     ]
     for entries in cases:
         p = Weights(entries)
-        base = frobenius_number(p)
-        assert frobenius_number(p, use_lll=False) == base
+        G = lattice_groebner(p, kernel_basis(p), OrderConfig(p))
+        comps = irreducible_decomposition(initial_ideal(G), p)
+        unreduced = max(pdegree(tuple(x - 1 for x in v), p) for v in comps)
+        assert Solution(p).frobenius == unreduced, entries
+    # the switch to unreduced rows is gone from the library
+    for entry_point in (Solution, frobenius_number):
+        with pytest.raises(TypeError):
+            entry_point((6, 10, 15), use_lll=False)
 
 
 def test_frobenius_number_against_oracle():
