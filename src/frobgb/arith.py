@@ -168,8 +168,8 @@ def solve_degree(p: Weights, t: int) -> Vector:
 
     Starts from t times a gcd chain and adds the minimal k >= 0 multiples of
     (-(p_2+...+p_n), p_1, ..., p_1) needed to reach the sign pattern, so
-    the entries grow with t.  frobenius.is_representable does not use it;
-    it starts from the gcd chain taken mod p_1.
+    the entries grow with t.  frobenius.is_representable divides this vector
+    by the basis, and grobner.normal_form folds it back below p_1 first.
     """
     if t < 0:
         raise ValueError("t must be >= 0")

@@ -1,19 +1,12 @@
 """Representability of integers in the numerical semigroup of the weights,
 and the Frobenius number (the largest integer outside the semigroup).
 
-Representability reads one normal form whose size does not depend on t.
-With x_1 cheapest, no head of the basis G uses x_1, so the standard
-monomials are x_1^e * s with s an x_1-free standard monomial, and x_1 times
-a standard monomial is standard again.  The ring k[x]/I_L has one standard
-monomial in every representable degree and none elsewhere, so the x_1-free
-ones are the Apery set of p_1, one per residue class mod p_1 (step 2 of the
-grobner module docstring).  With c a gcd chain (c.p = 1), the monomial b
-with b_1 = 0 and b_i = t * c_i mod p_1 has b.p = t mod p_1 and entries
-below p_1; its normal form is x_1^e * s with s the Apery monomial of t's
-class.  Adding k = (t - b.p) / p_1 to its first coordinate gives the one
-vector of degree t of the form x_1^j * s: t is representable exactly when
-e + k >= 0, and that vector is then the standard monomial of degree t and
-the witness.  The work depends on p_1 and G, not on t.
+Representability follows the paper: divide the signed solution
+a = solve_degree(p, t), with a_1 <= 0 and a_i >= 0 otherwise, by the basis G
+with x_1 cheapest.  The remainder x^w * (x^(c+) - x^(c-)) has c >= 0
+exactly when t is representable, and c is then the standard monomial of
+degree t, the witness.  grobner.normal_form folds the exponents mod p_1,
+so the work depends on p_1 and G, not on t.
 
 The Frobenius number is the largest weighted degree over the corner vectors
 of the staircase of the head ideal; the corners are the irreducible
@@ -38,12 +31,12 @@ from .arith import (
     Vector,
     Weights,
     as_weights,
-    gcd_chain,
     kernel_basis,
     lll_reduce,
     pdegree,
+    solve_degree,
 )
-from .grobner import GroebnerBasis, _check_cheapest_first, lattice_groebner, normal_form
+from .grobner import GroebnerBasis, _check_cheapest_first, lattice_groebner, reduce_binomial
 from .monideal import MonomialIdeal, initial_ideal, irreducible_decomposition
 from .order import OrderConfig
 
@@ -65,19 +58,10 @@ def is_representable(
 ) -> RepresentabilityResult:
     """Decide whether t is a nonnegative integer combination of the weights.
 
-    Negative t is trivially not representable.  On success the witness w
-    satisfies w >= 0 and w.p = t; it is the standard monomial of degree t.
-    G must have x_1 cheapest.  The rule, with c = gcd_chain(p):
-
-    1. b = (0, t*c_2 mod p_1, ..., t*c_n mod p_1), so b.p = t mod p_1;
-    2. r = normal_form(b, G) = x_1^e * s, with s the x_1-free standard
-       monomial, the Apery element, of t's class mod p_1;
-    3. add (t - b.p) / p_1 to r_1: t is representable exactly when the
-       result is >= 0, and it is then the witness.
-
-    Heads are x_1-free, so x_1-multiples of s stay standard, and the one
-    standard monomial of a representable degree t is x_1^j * s.  The work
-    depends on p_1 and G, not on t.
+    Negative t is trivially not representable.  G must have x_1 cheapest.
+    t is representable exactly when the remainder c of
+    reduce_binomial(solve_degree(p, t), G) is >= 0; c is then the witness,
+    the standard monomial of degree t, with c >= 0 and c.p = t.
     """
     p = as_weights(p)
     if G.weights != p:
@@ -88,16 +72,12 @@ def is_representable(
     if p.n == 1:
         # the only valid single weight is 1
         return RepresentabilityResult(True, (t,))
-    p1 = p.entries[0]
-    b = (0,) + tuple(t * c % p1 for c in gcd_chain(p)[1:])
-    r = normal_form(b, G)
-    e = r[0] + (t - pdegree(b, p)) // p1  # exact: b.p = t mod p_1
-    if e < 0:
+    _, c = reduce_binomial(solve_degree(p, t), G)
+    if min(c) < 0:
         return RepresentabilityResult(False, None)
-    w = (e,) + r[1:]
-    if pdegree(w, p) != t:
+    if pdegree(c, p) != t:
         raise AssertionError("witness degree mismatch")
-    return RepresentabilityResult(True, w)
+    return RepresentabilityResult(True, c)
 
 
 PHASES = ("basis", "reduction", "groebner", "extraction")

@@ -457,11 +457,26 @@ def validate_basis(G: GroebnerBasis) -> None:
 
 
 def normal_form(m: Vector, G: GroebnerBasis) -> Vector:
-    """Normal form of the monomial x^m modulo the basis."""
-    _check_dim(m, G.weights.n)
+    """Normal form of the monomial x^m modulo the basis; the division runs on
+    exponents below p_rv, whatever the size of m.
+
+    With rv the cheapest variable, x_i^(p_rv) - x_rv^(p_i) lies in I_L, so
+    x^m is congruent to x_rv^k * x^b with b_i = m_i mod p_rv (i != rv),
+    b_rv = 0 and k = (m.p - b.p) / p_rv.  No head uses x_rv
+    (validate_basis), so x_rv^k times the normal form of x^b is standard,
+    and it is the normal form of x^m.  reduce_binomial and
+    frobenius.is_representable divide through here.
+    """
+    p = G.weights
+    _check_dim(m, p.n)
     if any(x < 0 for x in m):
         raise ValueError("normal_form expects a nonnegative exponent vector")
-    return _nf_monomial(m, G._reducers)
+    rv = G.order.revlex_variable - 1
+    prv = p.entries[rv]
+    b = tuple(0 if i == rv else x % prv for i, x in enumerate(m))
+    r = _nf_monomial(b, G._reducers)
+    k = (pdegree(m, p) - pdegree(b, p)) // prv
+    return r[:rv] + (r[rv] + k,) + r[rv + 1 :]
 
 
 def _check_cheapest_first(G: GroebnerBasis, caller: str) -> None:
@@ -477,9 +492,10 @@ def reduce_binomial(a: Vector, G: GroebnerBasis) -> tuple[Vector, Vector]:
 
     Requires the sign pattern a_1 <= 0, a_i >= 0 for i >= 2, and a basis
     whose cheapest variable is the first one; then no head touches x^(a-),
-    and c can only be negative in its first coordinate.  The work grows with
-    the size of a.  frobenius.is_representable does not divide here: it
-    normal-forms one monomial with entries below p_1 instead.
+    and c can only be negative in its first coordinate.  The work is that
+    of one normal_form, bounded in the size of a.  On a = solve_degree(p, t)
+    this is the paper's representability test, and
+    frobenius.is_representable decides through it.
     """
     _check_cheapest_first(G, "reduce_binomial")
     _check_dim(a, G.weights.n)

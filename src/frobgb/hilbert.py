@@ -32,8 +32,8 @@ class EnumerationTooLarge(ValueError):
 
 def enumeration_caps(sol: Solution, t: int) -> list[int]:
     """Largest exponent per variable in the degree-t enumeration: t // p_i,
-    and for variables beyond the first also one below the smallest
-    pure-power generator in that variable."""
+    and beyond the first variable also one below its smallest pure-power
+    generator.  hilbert_value solves x_1 from the remaining degree."""
     p = sol.weights.entries
     gens = sol.ideal.generators
     caps = [t // p[0]]
@@ -46,8 +46,8 @@ def enumeration_caps(sol: Solution, t: int) -> list[int]:
 def hilbert_value(sol: Solution, t: int) -> int:
     """Number of standard monomials of weighted degree t.
 
-    Exponents are capped by enumeration_caps; the product of the
-    per-variable candidate counts must stay within the enumeration budget.
+    Exponents are capped by enumeration_caps; the product of the candidate
+    counts of x_2..x_n must stay within the enumeration budget.
     """
     if t < 0:
         raise ValueError("t must be >= 0")
@@ -56,7 +56,7 @@ def hilbert_value(sol: Solution, t: int) -> int:
     gens = sol.ideal.sorted_generators()
 
     bounds = enumeration_caps(sol, t)
-    box = prod(b + 1 for b in bounds)
+    box = prod(b + 1 for b in bounds[1:])
     if box > ENUMERATION_LIMIT:
         raise EnumerationTooLarge(
             f"degree {decimal_str(t)} spans {decimal_str(box)} candidate monomials,"
@@ -77,7 +77,7 @@ def hilbert_value(sol: Solution, t: int) -> int:
     def walk(i: int, rem: int) -> None:
         nonlocal count
         if i == 0:
-            if rem % p[0] == 0 and rem // p[0] <= bounds[0]:
+            if rem % p[0] == 0:
                 count += 1
             return
         for val in range(min(rem // p[i], bounds[i]) + 1):

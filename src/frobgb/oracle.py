@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
-from .arith import Vector, Weights, as_weights, pdegree
+from .arith import Vector, Weights, as_weights, decimal_str, pdegree
 
 __all__ = ["AperyTable", "OracleScaleExceeded", "apery_frobenius", "dp_representable"]
 
@@ -44,7 +44,9 @@ class AperyTable:
         p = as_weights(p)
         m = min(p.entries)
         if m > limit:
-            raise OracleScaleExceeded(f"min(p) = {m} exceeds the table limit {limit}")
+            raise OracleScaleExceeded(
+                f"min(p) = {decimal_str(m)} exceeds the table limit {limit}"
+            )
         dist: list[Optional[int]] = [None] * m
         pred: list[Optional[tuple[int, int]]] = [None] * m
         dist[0] = 0

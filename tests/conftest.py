@@ -35,7 +35,9 @@ class Instance(Solution):
 
 
 def _hilbert_box(inst, t):
-    # the candidate count that hilbert_value holds to its budget
+    # the candidate box with x_1's cap included, a stricter count than the
+    # x_2..x_n box hilbert_value holds to its budget; small20 is selected by
+    # this one
     return prod(b + 1 for b in enumeration_caps(inst, t))
 
 

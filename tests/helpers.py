@@ -1,9 +1,7 @@
 """Shared checks: exact lattice comparisons, reduction certificates, random
-instance generation, a reference Buchberger, a reference staircase walk and
-the division route of representability.  Everything here but that route is
-independent of the library internals so it can act as a referee; the route
-uses the library's own binomial division, the path is_representable took
-before it normal-formed a residue-class monomial."""
+instance generation, a reference Buchberger with its plain division
+(_ref_nf) and a reference staircase walk.  Everything here is independent of
+the library internals so it can act as a referee."""
 
 from __future__ import annotations
 
@@ -11,8 +9,6 @@ from fractions import Fraction
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
-
-from frobgb import reduce_binomial, solve_degree
 
 
 def dot(a, b):
@@ -284,19 +280,3 @@ def reference_decomposition(I):
 
     walk(1)
     return frozenset(out)
-
-
-# -- reference representability ----------------------------------------------
-
-
-def reference_is_representable(p, t, G):
-    """(verdict, witness) by dividing the signed solution solve_degree(p, t),
-    of size growing with t, by G (cheapest variable 1): the remainder
-    x^w * (x^(c+) - x^(c-)) has c >= 0 exactly when t is representable, and
-    c is then the standard monomial of degree t."""
-    if t < 0:
-        return False, None
-    if p.n == 1:
-        return True, (t,)
-    _, c = reduce_binomial(solve_degree(p, t), G)
-    return (True, c) if min(c) >= 0 else (False, None)

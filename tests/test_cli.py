@@ -42,8 +42,9 @@ def test_test_verdicts_and_exit_codes():
 
 
 def test_test_time_does_not_grow_with_t():
-    # dividing a t-sized signed solution took over a minute at t = 3 * 10^6
-    # on these weights; the largest t goes through the module entry point
+    # dividing the t-sized signed solution without folding its exponents
+    # mod p_1 took over a minute at t = 3 * 10^6 on these weights; the
+    # largest t goes through the module entry point
     start = time.perf_counter()
     for t in (10**5, 10**9, 10**30):
         argv = ["test", "--t", str(t), "54", "140", "71", "85"]
@@ -101,11 +102,11 @@ def test_invalid_inputs_exit_2():
 
 
 def test_resource_limit_exits_3():
-    code, out, err = invoke("hilbert", "--t", "100000000", "2", "3")
+    code, out, err = invoke("hilbert", "--t", str(10**17), "100000007", "100000037")
     assert (code, out) == (3, "")
     assert "over the limit" in err and len(err.splitlines()) == 1
-    # a small degree on the same weights stays within the budget
-    assert invoke("hilbert", "--t", "7", "2", "3")[:2] == (0, "1\n")
+    # x_1 is solved, not enumerated: a huge degree on (2, 3) visits 2 candidates
+    assert invoke("hilbert", "--t", "100000000", "2", "3")[:2] == (0, "1\n")
 
 
 def test_file_input(tmp_path):

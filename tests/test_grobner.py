@@ -34,12 +34,13 @@ from frobgb import (
     normal_form,
     pdegree,
     reduce_binomial,
+    solve_degree,
     validate_basis,
 )
 from frobgb.arith import negative_part, positive_part
 from frobgb.order import EQ, LT
 
-from helpers import dot, integer_combination, random_weights, reference_groebner
+from helpers import _ref_nf, dot, integer_combination, random_weights, reference_groebner
 
 SEED = 550123
 
@@ -225,6 +226,20 @@ def test_reduce_binomial_contract():
             assert v == normal_form(negative_part(a), G)
 
 
+def test_reduce_binomial_is_bounded_in_t():
+    # the signed solution of a huge degree is folded below p_1 before
+    # division, so dividing it costs about what a small degree does
+    p = Weights((34, 139, 111, 75, 51))
+    G = make_gb(p.entries)
+    table = AperyTable.build(p)
+    rng = random.Random(SEED + 9)
+    start = time.perf_counter()
+    for t in [rng.randrange(10**30) for _ in range(20)]:
+        _, c = reduce_binomial(solve_degree(p, t), G)
+        assert pdegree(c, p) == t and (min(c) >= 0) == table.representable(t), t
+    assert time.perf_counter() - start < 5
+
+
 def test_reduce_binomial_rejects_bad_inputs():
     G = make_gb((6, 10, 15))
     with pytest.raises(ValueError):
@@ -322,7 +337,10 @@ def test_rendering():
 def test_matches_the_all_pairs_reference(pool):
     # neither the pair criteria, the reducer lookup nor the lazy saturation
     # (two runs when the Apery count certifies them) may change any basis,
-    # on reduced or unreduced rows
+    # on reduced or unreduced rows.  Nor may normal_form's fold of the
+    # exponents mod p_rv change a normal form: random monomials with
+    # exponents up to 3 * p_rv are held to plain division by the reference.
+    rng = random.Random(SEED + 8)
     for inst in pool:
         for rows in (inst.reduced_rows, inst.kernel_rows):
             for rv in range(1, inst.weights.n + 1):
@@ -330,6 +348,10 @@ def test_matches_the_all_pairs_reference(pool):
                 G = lattice_groebner(inst.weights, rows, cfg)
                 expected = reference_groebner(rows, cfg)
                 assert [(g.head, g.tail) for g in G.elements] == expected, (cfg, rows)
+                top = 3 * inst.weights.entries[rv - 1]
+                for _ in range(8):
+                    m = tuple(rng.randint(0, top) for _ in range(inst.weights.n))
+                    assert normal_form(m, G) == _ref_nf(m, expected), (cfg, m)
 
 
 @pytest.fixture

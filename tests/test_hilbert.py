@@ -87,6 +87,9 @@ def test_negative_degree_rejected():
 
 
 def test_enumeration_budget():
+    # x_2 alone spans 100000007 candidates at this degree
     with pytest.raises(EnumerationTooLarge):
-        hilbert_value(ctx_for((2, 3)), 10**9)
+        hilbert_value(ctx_for((100000007, 100000037)), 10**17)
+    # x_1 is solved, not enumerated, so its cap t // 2 costs nothing
+    assert hilbert_value(ctx_for((2, 3)), 10**9) == 1
 

@@ -153,3 +153,9 @@ def test_modulus_cap():
         apery_frobenius(beyond)
     with pytest.raises(OracleScaleExceeded):
         dp_representable(beyond, 5)
+    # min(p) past str()'s 4300-digit limit still gets the typed error
+    huge = (10**4400 + 1, 10**4400 + 3)
+    with pytest.raises(OracleScaleExceeded):
+        apery_frobenius(huge)
+    with pytest.raises(OracleScaleExceeded):
+        dp_representable(huge, 5)
