@@ -10,9 +10,9 @@
 Weights come either as arguments or from a file (--file, whitespace-separated
 tokens, # starts a comment), never both.  --json switches to a
 machine-readable report with big integers as decimal strings; --time writes
-per-phase wall times to standard error.  Exit codes: 0 on success, 1 when a
-test verdict is "no", 2 on invalid input, 3 when a request exceeds a
-resource limit (a Hilbert value whose enumeration box is over the budget).
+per-phase wall times to standard error.  Options are spelled out in full;
+abbreviations are rejected.  Exit codes: 0 on success, 1 when a test
+verdict is "no", 2 on invalid input.
 
 Each subcommand builds one frobenius.Solution and formats what it reads
 from it; the phase times come from the Solution's timings.  The argument
@@ -35,7 +35,7 @@ from decimal import Decimal
 from .arith import Weights, decimal_str
 from .frobenius import Solution, is_representable
 from .grobner import format_binomial
-from .hilbert import EnumerationTooLarge, hilbert_value, index_of_regularity
+from .hilbert import hilbert_value, index_of_regularity
 from .monideal import format_component
 
 __all__ = ["main", "run"]
@@ -50,6 +50,9 @@ class _HelpRequested(Exception):  # carries the help text out of parse_args
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # --t must not stand for --time
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # keep diagnostics to one line and our exit codes
         raise _CLIError(message)
 
@@ -164,7 +167,7 @@ def run(argv, stdout=None, stderr=None) -> int:
 
         elif args.command == "hilbert":
             t = _parse_int(args.t)
-            sol.ideal  # build the basis under its own phases, not inside extraction
+            sol.basis  # build the basis under its own phases, not inside extraction
             value = sol.timed("extraction", hilbert_value, sol, t)
             payload["t"] = decimal_str(t)
             payload["value"] = decimal_str(value)
@@ -194,9 +197,6 @@ def run(argv, stdout=None, stderr=None) -> int:
     except _HelpRequested as e:
         out.write(str(e))
         return 0
-    except EnumerationTooLarge as e:  # a ValueError, but not invalid input
-        print(str(e), file=err)
-        return 3
     except (_CLIError, ValueError) as e:
         print(str(e), file=err)
         return 2

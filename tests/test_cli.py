@@ -101,12 +101,48 @@ def test_invalid_inputs_exit_2():
     assert len(invoke("number", "4", "6")[2].splitlines()) == 1
 
 
-def test_resource_limit_exits_3():
-    code, out, err = invoke("hilbert", "--t", str(10**17), "100000007", "100000037")
-    assert (code, out) == (3, "")
-    assert "over the limit" in err and len(err.splitlines()) == 1
-    # x_1 is solved, not enumerated: a huge degree on (2, 3) visits 2 candidates
+def test_hilbert_large_degrees_exit_0():
+    # Sylvester: f* = ab - a - b, answered without walking the exponent box
+    a, b = 100000007, 100000037
+    for t, value in ((a * b - a - b, "0"), (a * b - a - b + 1, "1"), (10**17, "1")):
+        assert invoke("hilbert", "--t", str(t), str(a), str(b)) == (0, value + "\n", "")
     assert invoke("hilbert", "--t", "100000000", "2", "3")[:2] == (0, "1\n")
+
+
+def test_hilbert_time_does_not_grow_with_t():
+    # walking the exponent box took 41 s at f* + 1 on these weights
+    weights = ["798661", "916874", "482643", "991167", "942049"]
+    start = time.perf_counter()
+    for t, value in ((92176972, "0\n"), (92176973, "1\n")):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobgb", "hilbert", "--t", str(t), *weights],
+            capture_output=True,
+            text=True,
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, value, ""), t
+    assert time.perf_counter() - start < 5.0
+
+
+def test_option_abbreviations_are_rejected(tmp_path):
+    # a prefix of a long option is not that option: --t is not --time, nor
+    # --js --json
+    for argv, token in (
+        (("number", "--t", "5", "6", "10"), "--t"),
+        (("gb", "--t", "7", "3", "5"), "--t"),
+        (("number", "--js", "6", "10", "15"), "--js"),
+    ):
+        code, out, err = invoke(*argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and token in err, err
+    # spelled out in full, every option still works
+    path = tmp_path / "weights.txt"
+    path.write_text("6 10 15\n")
+    assert invoke("number", "--file", str(path))[:2] == (0, "29\n")
+    assert json.loads(invoke("number", "--json", "6", "10", "15")[1])["frobenius"] == "29"
+    code, out, err = invoke("number", "--time", "6", "10", "15")
+    assert (code, out) == (0, "29\n") and err.startswith("basis ")
+    assert invoke("test", "--t", "30", "6", "10", "15")[:2] == (0, "yes 5 0 0\n")
+    assert invoke("hilbert", "--t", "29", "6", "10", "15")[:2] == (0, "0\n")
 
 
 def test_file_input(tmp_path):
@@ -281,9 +317,9 @@ def test_integers_past_the_str_digit_limit():
     assert invoke("decomp", q1, q2)[:2] == (0, f"(0,{q1})\n")
     doc = json.loads(invoke("gb", "--json", q1, q2)[1])
     assert doc["basis"][0]["head"] == ["0", q1] and doc["basis"][0]["tail"] == [q2, "0"]
-    # diagnostics carry long integers too, with their own exit codes
-    code, out, err = invoke("hilbert", "--t", big, *weights)
-    assert (code, out) == (3, "") and err.startswith(f"degree {big} spans ")
+    # 10^5000 exceeds p1 * p2, past which every degree is representable
+    assert invoke("hilbert", "--t", big, *weights)[:2] == (0, "1\n")
+    # diagnostics carry long integers too
     code, _, err = invoke("number", "2" + big[1:], "4" + big[1:])
     assert (code, err) == (2, f"gcd is {'2' + big[1:]}, not 1\n")
     code, _, err = invoke("number", "-" + big, "3")

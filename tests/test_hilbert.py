@@ -8,7 +8,6 @@ import pytest
 
 from frobgb import (
     AperyTable,
-    EnumerationTooLarge,
     Solution,
     Weights,
     contains_monomial,
@@ -86,10 +85,14 @@ def test_negative_degree_rejected():
         hilbert_value(ctx_for((2, 3)), -1)
 
 
-def test_enumeration_budget():
-    # x_2 alone spans 100000007 candidates at this degree
-    with pytest.raises(EnumerationTooLarge):
-        hilbert_value(ctx_for((100000007, 100000037)), 10**17)
-    # x_1 is solved, not enumerated, so its cap t // 2 costs nothing
+def test_two_weights_follow_sylvester():
+    # f* = ab - a - b; a box walk at these degrees spans over 10^8 candidates
+    a, b = 100000007, 100000037
+    ctx = ctx_for((a, b))
+    fstar = a * b - a - b
+    assert fstar == 10000004200000215
+    assert hilbert_value(ctx, fstar) == 0
+    assert hilbert_value(ctx, fstar + 1) == 1
+    assert hilbert_value(ctx, 10**17) == 1
     assert hilbert_value(ctx_for((2, 3)), 10**9) == 1
 
