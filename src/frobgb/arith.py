@@ -200,24 +200,30 @@ def kernel_basis(p: Weights) -> tuple[Vector, ...]:
     return rows
 
 
-def _gram_schmidt(rows: list[list[int]]):
-    """Exact Gram-Schmidt data (mu, norm2) over Fractions; raises on
-    linearly dependent rows."""
+def _gram_schmidt(rows, start: int = 0, gs=None):
+    """Exact Gram-Schmidt data (mu, norm2, star) over Fractions; raises on
+    linearly dependent rows.
+
+    Row i's data depends only on rows 0..i, so with gs from an earlier call
+    on rows that agree above start, only rows start.. are recomputed, in
+    place, and the rows above keep their data.
+    """
     m = len(rows)
-    mu = [[Fraction(0)] * m for _ in range(m)]
-    norm2: list[Fraction] = []
-    star: list[list[Fraction]] = []
-    for i in range(m):
-        b = [Fraction(x) for x in rows[i]]
+    if gs is None:
+        gs = [[Fraction(0)] * m for _ in range(m)], [None] * m, [None] * m
+    mu, norm2, star = gs
+    for i in range(start, m):
+        row = rows[i]
+        b = [Fraction(x) for x in row]
         for j in range(i):
-            mu[i][j] = sum(Fraction(x) * y for x, y in zip(rows[i], star[j])) / norm2[j]
+            mu[i][j] = sum(Fraction(x) * y for x, y in zip(row, star[j])) / norm2[j]
             b = [a - mu[i][j] * c for a, c in zip(b, star[j])]
-        star.append(b)
         n2 = sum(x * x for x in b)
         if n2 == 0:
             raise ValueError("basis rows are linearly dependent")
-        norm2.append(n2)
-    return mu, norm2
+        star[i] = b
+        norm2[i] = n2
+    return gs
 
 
 LLL_DELTA = Fraction(99, 100)
@@ -229,6 +235,12 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     Returns rows spanning the same lattice, size-reduced and satisfying the
     Lovasz condition with delta = LLL_DELTA.  Correctness of callers never
     depends on this step; it only shrinks entries.
+
+    A step changes the Gram-Schmidt data only from the first row it touches:
+    size-reducing row k recomputes rows k.., and swapping rows k-1 and k
+    recomputes rows k-1..; every row above keeps its data.  The arithmetic
+    is exact, so the steps and the output are those of a full recomputation
+    after every step (tests/helpers.reference_lll).
     """
     rows = [list(r) for r in basis]
     m = len(rows)
@@ -238,18 +250,19 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     for r in rows:
         if len(r) != width:
             raise ValueError("basis rows must all have the same dimension")
-    mu, norm2 = _gram_schmidt(rows)
+    gs = _gram_schmidt(rows)
+    mu, norm2, _ = gs
     k = 1
     while k < m:
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
-                mu, norm2 = _gram_schmidt(rows)
+                _gram_schmidt(rows, k, gs)
         if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
-            mu, norm2 = _gram_schmidt(rows)
+            _gram_schmidt(rows, k - 1, gs)
             k = k - 1 if k > 1 else 1
     return tuple(tuple(r) for r in rows)

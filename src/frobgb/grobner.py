@@ -79,9 +79,14 @@ which the count is about 0.05 s.
 
 Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
 (criteria B, M and F and the product criterion, see _buchberger) and drops
-elements whose head a newer head divides.  Division looks reducers up by the
-support bitmask of their heads, so a head that uses a variable the monomial
-lacks is passed over without scanning exponents.
+elements whose head a newer head divides.  An S-pair is only top-reduced:
+its larger side is divided until the two sides meet or that side is
+irreducible, and the tails of the run's basis are reduced once, at the end
+(_interreduce).  Division looks reducers up by the support bitmask of their
+heads, so a head that uses a variable the monomial lacks is passed over
+without scanning exponents, and the other heads are scanned over their
+nonzero entries only.  validate_basis takes the same Apery count, so a
+basis it accepts generates I_L, as normal_form assumes.
 """
 
 from __future__ import annotations
@@ -151,6 +156,15 @@ class GroebnerBasis:
         """Division data of the elements for normal forms, built on first use."""
         return tuple(_reducer(g.head, g.tail) for g in self.elements)
 
+    @cached_property
+    def _apery_count(self) -> int | None:
+        """The number of monomials free of the cheapest variable x_rv outside
+        the head ideal (monideal.colength of the heads without coordinate
+        rv), counted once.  It is p_rv exactly when the elements generate
+        the lattice ideal I_L (see the module docstring)."""
+        rv = self.order.revlex_variable
+        return colength(self.weights.n - 1, (h[: rv - 1] + h[rv:] for h in self.heads()))
+
 
 # -- internal monomial helpers (pairs of plain tuples, no validation) --------
 
@@ -182,55 +196,51 @@ def _support(v: Vector) -> int:
     return mask
 
 
-def _multiplicity(m: Vector, h: Vector) -> int:
-    """Largest k with x^(k*h) dividing x^m (0 when h does not divide m)."""
+def _multiplicity(m: Vector, support) -> int:
+    """Largest k with x^(k*h) dividing x^m, for the head h whose nonzero
+    entries are support = ((i, h_i), ...); 0 when h does not divide m."""
     k = 0
-    first = True
-    for mi, hi in zip(m, h):
-        if hi:
-            q = mi // hi
-            if q == 0:
-                return 0
-            if first or q < k:
-                k = q
-                first = False
+    for i, e in support:
+        q = m[i] // e
+        if not q:
+            return 0
+        if not k or q < k:
+            k = q
     return k
 
 
 # A reducer is the division data of one element head -> tail, built once:
-# (support mask of the head, head, tail - head).  x^h can only divide x^m
-# when the head's support lies inside the monomial's, so a reducer whose
-# mask has a bit outside the monomial's mask is skipped with one integer
-# operation instead of a coordinate scan.
+# (support mask of the head, the head's nonzero (index, exponent) pairs,
+# tail - head).  x^h can only divide x^m when the head's support lies inside
+# the monomial's, so a reducer whose mask has a bit outside the monomial's
+# mask is skipped with one integer operation; the others scan only the
+# head's support.
 
 
 def _reducer(h: Vector, t: Vector):
-    return _support(h), h, tuple(b - a for a, b in zip(h, t))
+    support = tuple((i, e) for i, e in enumerate(h) if e)
+    return _support(h), support, tuple(b - a for a, b in zip(h, t))
+
+
+def _reduce_step(m: Vector, reducers) -> Vector | None:
+    """One division step: the first reducer whose head divides x^m, applied
+    with full multiplicity so that the step count does not scale with the
+    size of the exponents; None when no head divides x^m."""
+    outside = ~_support(m)
+    for mask, support, step in reducers:
+        if mask & outside:
+            continue
+        k = _multiplicity(m, support)
+        if k:
+            return tuple(a + k * d for a, d in zip(m, step))
+    return None
 
 
 def _nf_monomial(m: Vector, reducers) -> Vector:
-    """Normal form of a monomial: replace by head -> tail while possible.
-
-    Each hit applies the reducer with full multiplicity, so the step count
-    does not scale with the size of the exponents.
-    """
-    outside = ~_support(m)
-    while True:
-        for mask, h, step in reducers:
-            if mask & outside:
-                continue
-            k = _multiplicity(m, h)
-            if k:
-                m = tuple(a + k * d for a, d in zip(m, step))
-                outside = ~_support(m)
-                break
-        else:
-            return m
-
-
-def _is_reducible(m: Vector, reducers) -> bool:
-    outside = ~_support(m)
-    return any(not mask & outside and _multiplicity(m, h) for mask, h, _ in reducers)
+    """Normal form of a monomial: division steps while one applies."""
+    while (r := _reduce_step(m, reducers)) is not None:
+        m = r
+    return m
 
 
 def _buchberger(gens, cfg: OrderConfig):
@@ -249,10 +259,12 @@ def _buchberger(gens, cfg: OrderConfig):
       they stop reducing and forming pairs, while their queued pairs stay.
 
     Pairs are processed by ascending term order of the lcm of the heads (ties
-    by the indices of the pair).  Remainders are reduced to normal form by
-    the support-mask lookup (see _reducer) and made primitive before
-    insertion.  Returns the final basis, which is a Groebner basis but not
-    yet reduced.
+    by the indices of the pair).  An S-pair is top-reduced: only its larger
+    side takes division steps (see _reduce_step), one at a time, until the
+    two sides meet (a zero reduction) or the larger side is irreducible.
+    Then the pair is made primitive and inserted with its tail as it stands;
+    _interreduce reduces every tail once at the end.  Returns the final
+    basis, which is a Groebner basis but not yet reduced.
     """
     key = cfg.sort_key
     p = cfg.weights.entries
@@ -288,8 +300,8 @@ def _buchberger(gens, cfg: OrderConfig):
         # when q_j <= q_i.  Sorted by degree, a strict divisor comes first
         # and equal lcms are adjacent.
         new = []
-        for i, (mask, hi, _) in zip(active, reducers):
-            q = tuple(map(sub, map(max, hi, h), h))
+        for i, (mask, _, _) in zip(active, reducers):
+            q = tuple(map(sub, map(max, heads[i], h), h))
             new.append((sum(map(mul, q, p)), q, i, _support(q), not mask & mk))
         new.sort()
         groups: list[list] = []  # one per lcm that survives M
@@ -314,7 +326,7 @@ def _buchberger(gens, cfg: OrderConfig):
         kept = [
             (i, r)
             for i, r in zip(active, reducers)
-            if mk & ~r[0] or not _divides(h, r[1])
+            if mk & ~r[0] or not _divides(h, heads[i])
         ]
         active[:] = [i for i, _ in kept] + [k]
         reducers[:] = [r for _, r in kept] + [_reducer(h, t)]
@@ -332,10 +344,15 @@ def _buchberger(gens, cfg: OrderConfig):
         lcm = queued[0]
         u = tuple(l - a + b for l, a, b in zip(lcm, heads[i], tails[i]))
         v = tuple(l - a + b for l, a, b in zip(lcm, heads[j], tails[j]))
-        u = _nf_monomial(u, reducers)
-        v = _nf_monomial(v, reducers)
-        if u != v:
-            insert(*_strip(*_orient(u, v, key)))
+        ku, kv = key(u), key(v)
+        while ku != kv:
+            if ku < kv:
+                u, v, ku, kv = v, u, kv, ku
+            r = _reduce_step(u, reducers)
+            if r is None:
+                insert(*_strip(u, v))
+                break
+            u, ku = r, key(r)
     return [(heads[i], tails[i]) for i in active]
 
 
@@ -345,7 +362,7 @@ def _interreduce(basis, key):
     kept: list[tuple[Vector, Vector]] = []
     reducers: list = []
     for h, t in items:
-        if not _is_reducible(h, reducers):
+        if _reduce_step(h, reducers) is None:
             kept.append((h, t))
             reducers.append(_reducer(h, t))
     return [(h, _nf_monomial(t, reducers)) for h, t in kept]
@@ -408,14 +425,12 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     )
     cur = [(positive_part(r), negative_part(r)) for r in rows]
     cur = _saturate(cur, passes[:1] + [rv], cfg)
-    rest = passes[2:]  # the second variable is never saturated
-    if rest:
-        heads = (h[: rv - 1] + h[rv:] for h, _ in cur)  # heads are x_rv-free
-        if colength(n - 1, heads) != p.entries[rv - 1]:
-            cur = _saturate(cur, rest + [rv], cfg)
-
     basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
-    validate_basis(basis)
+    rest = passes[2:]  # the second variable is never saturated
+    if rest and basis._apery_count != p.entries[rv - 1]:
+        cur = _saturate(cur, rest + [rv], cfg)
+        basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
+    validate_basis(basis)  # on the certified path it reads the count taken above
     return basis
 
 
@@ -426,6 +441,9 @@ def validate_basis(G: GroebnerBasis) -> None:
     supports, a head dividing another head or any tail, a head divisible by
     the distinguished variable, missing pure-power heads x_i^e with
     e <= p_rv for every other variable, or elements out of ascending order.
+    Last, it takes the Apery count: the x_rv-free monomials outside the
+    head ideal must number p_rv, or the elements generate a proper
+    sub-ideal of I_L, on which normal_form's fold is wrong.
     """
     cfg = G.order
     p = cfg.weights
@@ -447,13 +465,23 @@ def validate_basis(G: GroebnerBasis) -> None:
             raise ValueError("elements are not in ascending head order")
         prev_key = k
     heads = G.heads()
-    for i, h in enumerate(heads):
+    reducers = G._reducers
+    head_masks = [mask for mask, _, _ in reducers]
+    tail_masks = [_support(g.tail) for g in G.elements]
+    for i, (mask, support, _) in enumerate(reducers):
         for j, g in enumerate(G.elements):
-            if i != j and _multiplicity(g.head, h):
-                raise ValueError(f"head {h} divides head {g.head}")
-            if _multiplicity(g.tail, h):
-                raise ValueError(f"head {h} divides tail {g.tail}")
+            if i != j and not mask & ~head_masks[j] and _multiplicity(g.head, support):
+                raise ValueError(f"head {heads[i]} divides head {g.head}")
+            if not mask & ~tail_masks[j] and _multiplicity(g.tail, support):
+                raise ValueError(f"head {heads[i]} divides tail {g.tail}")
     _check_head_shape(heads, n, rv, p.entries[rv])
+    count = G._apery_count
+    if count != p.entries[rv]:
+        raise ValueError(
+            f"the heads leave {decimal_str(count)} standard monomials free of"
+            f" x{rv + 1}, not p_{rv + 1} = {decimal_str(p.entries[rv])}: the"
+            " elements generate a proper sub-ideal of the lattice ideal"
+        )
 
 
 def normal_form(m: Vector, G: GroebnerBasis) -> Vector:

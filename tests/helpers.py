@@ -1,14 +1,18 @@
 """Shared checks: exact lattice comparisons, reduction certificates, random
-instance generation, a reference Buchberger with its plain division
-(_ref_nf) and a reference staircase walk.  Everything here is independent of
-the library internals so it can act as a referee."""
+instance generation, a reference LLL, a reference Buchberger with its plain
+division (_ref_nf) and a reference staircase walk.  Everything here is
+independent of the library internals so it can act as a referee."""
 
 from __future__ import annotations
 
+import importlib.util
+import sys
 from fractions import Fraction
+from functools import cache
 from heapq import heappop, heappush
 from itertools import combinations
 from math import gcd
+from pathlib import Path
 
 
 def dot(a, b):
@@ -94,9 +98,9 @@ def maximal_minors_gcd(rows):
     return g
 
 
-def check_lll(rows, delta=Fraction(99, 100)):
-    """Recompute Gram-Schmidt data and assert size reduction plus the
-    Lovasz condition; raises AssertionError with the offending indices."""
+def _ref_gram_schmidt(rows):
+    """mu and the squared Gram-Schmidt norms of the rows, over Fractions,
+    recomputed from scratch."""
     m = len(rows)
     mu = [[Fraction(0)] * m for _ in range(m)]
     star = []
@@ -109,6 +113,14 @@ def check_lll(rows, delta=Fraction(99, 100)):
         star.append(b)
         norm2.append(sum(x * x for x in b))
         assert norm2[i] > 0, f"row {i} is dependent on earlier rows"
+    return mu, norm2
+
+
+def check_lll(rows, delta=Fraction(99, 100)):
+    """Recompute Gram-Schmidt data and assert size reduction plus the
+    Lovasz condition; raises AssertionError with the offending indices."""
+    m = len(rows)
+    mu, norm2 = _ref_gram_schmidt(rows)
     for i in range(m):
         for j in range(i):
             assert abs(mu[i][j]) <= Fraction(1, 2), f"mu[{i}][{j}] = {mu[i][j]}"
@@ -117,6 +129,31 @@ def check_lll(rows, delta=Fraction(99, 100)):
         rhs = (delta - mu[k][k - 1] ** 2) * norm2[k - 1]
         assert lhs >= rhs, f"Lovasz condition fails at k={k}"
     return True
+
+
+def reference_lll(basis, delta=Fraction(99, 100)):
+    """The LLL loop lll_reduce ran before it kept the Gram-Schmidt data of
+    unchanged rows: the same steps, with all of the data recomputed after
+    every size-reduction step and every swap."""
+    rows = [list(r) for r in basis]
+    m = len(rows)
+    if m == 0:
+        return ()
+    mu, norm2 = _ref_gram_schmidt(rows)
+    k = 1
+    while k < m:
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k][j])
+            if q:
+                rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
+                mu, norm2 = _ref_gram_schmidt(rows)
+        if norm2[k] >= (delta - mu[k][k - 1] ** 2) * norm2[k - 1]:
+            k += 1
+        else:
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
+            mu, norm2 = _ref_gram_schmidt(rows)
+            k = k - 1 if k > 1 else 1
+    return tuple(tuple(r) for r in rows)
 
 
 def random_weights(rng, n_lo, n_hi, lo, hi):
@@ -130,6 +167,19 @@ def random_weights(rng, n_lo, n_hi, lo, hi):
             g = gcd(g, w)
         if g == 1:
             return entries
+
+
+@cache
+def benchmark_ladders():
+    """The weights of each benchmark workload by name, from its own setup in
+    bench/workloads.py: {"fstar-n56": [...], "cli-small": [...]}."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclasses look their module up
+    spec.loader.exec_module(workloads)
+    # neither setup uses the frobgb module it is handed
+    return {name: w.setup(None) for name, w in workloads.make_workloads().items()}
 
 
 # -- reference Buchberger ----------------------------------------------------

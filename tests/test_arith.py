@@ -22,11 +22,13 @@ from frobgb.arith import negative_part, positive_part, xgcd
 
 from helpers import (
     _det,
+    benchmark_ladders,
     check_lll,
     dot,
     integer_combination,
     maximal_minors_gcd,
     random_weights,
+    reference_lll,
     same_lattice,
 )
 
@@ -196,6 +198,23 @@ def test_lll_shrinks_huge_entries():
     assert same_lattice(rows, red)
     check_lll(red)
     assert max(abs(x) for r in red for x in r) < max(abs(x) for r in rows for x in r)
+    assert red == reference_lll(rows)
+
+
+def test_lll_matches_the_full_recompute_reference(pool):
+    # keeping the Gram-Schmidt data of the rows above a step must not change
+    # a single step: the rows equal those of the loop that recomputes all of
+    # it after every step
+    rng = random.Random(SEED + 7)
+    weights = [inst.weights.entries for inst in pool]
+    for ladder in benchmark_ladders().values():
+        weights += ladder
+    for n in range(2, 8):
+        for digits in (1, 3, 6, 9, 12):
+            weights.append(random_weights(rng, n, n, 2, 10**digits))
+    for entries in weights:
+        rows = kernel_basis(Weights(entries))
+        assert lll_reduce(rows) == reference_lll(rows), entries
 
 
 def test_lll_rejects_dependent_rows():

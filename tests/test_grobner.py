@@ -7,11 +7,8 @@ normal forms give a sharp equality test that the suite leans on heavily.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
 import time
-from pathlib import Path
 
 import pytest
 
@@ -40,7 +37,14 @@ from frobgb import (
 from frobgb.arith import negative_part, positive_part
 from frobgb.order import EQ, LT
 
-from helpers import _ref_nf, dot, integer_combination, random_weights, reference_groebner
+from helpers import (
+    _ref_nf,
+    benchmark_ladders,
+    dot,
+    integer_combination,
+    random_weights,
+    reference_groebner,
+)
 
 SEED = 550123
 
@@ -318,6 +322,19 @@ def test_validate_basis_catches_damage():
         validate_basis(GroebnerBasis((a, Binomial((0, 6, 0), (10, 0, 0))), cfg))
 
 
+def test_validate_basis_rejects_a_proper_sub_ideal():
+    # every shape check passes, but x3^4 - x1^10 leaves x3^2 - x1^5 out: the
+    # heads leave 12 monomials free of x1 where I_L leaves p_1 = 6, and
+    # normal_form's fold, which assumes I_L, would send x3^6 to x1^15
+    # where division gives x1^10*x3^2
+    cfg = OrderConfig(Weights((6, 10, 15)))
+    G = GroebnerBasis(
+        (Binomial((0, 3, 0), (5, 0, 0)), Binomial((0, 0, 4), (10, 0, 0))), cfg
+    )
+    with pytest.raises(ValueError, match="12 standard monomials free of x1, not p_1 = 6"):
+        validate_basis(G)
+
+
 def test_normal_form_rejects_bad_vectors():
     G = make_gb((6, 10, 15))
     with pytest.raises(ValueError):
@@ -414,19 +431,10 @@ def test_uncertified_saturation_falls_back(buchberger_runs, entries, rv):
     assert [(g.head, g.tail) for g in G.elements] == reference_groebner(rows, cfg)
 
 
-def _fstar_ladder():
-    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("bench_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = workloads  # its dataclasses look their module up
-    spec.loader.exec_module(workloads)
-    return workloads.ladder(workloads.FSTAR_RUNGS)
-
-
 def test_benchmark_ladder_takes_two_runs(buchberger_runs):
     # regression guard for the fstar-n56 benchmark: every instance of its
     # ladder is certified after two runs on the path frobenius_number takes
-    ladder = _fstar_ladder()
+    ladder = benchmark_ladders()["fstar-n56"]
     assert len(ladder) == 21
     for entries in ladder:
         buchberger_runs.clear()
