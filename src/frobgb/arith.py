@@ -1,6 +1,10 @@
 """Exact integer vector arithmetic: weight vectors, extended-gcd chains,
 kernel lattice bases, and rational-arithmetic LLL reduction.
 
+LLL keeps exact Fraction Gram-Schmidt data for rows 0..k_max only, the rows
+its loop has reached, and recomputes just the rows a step changes.  It does
+not update mu in place and is not the integral LLL; see lll_reduce.
+
 Exponent vectors and lattice vectors are plain ``tuple[int, ...]``.  Python
 integers keep every operation exact at any magnitude, so nothing here is
 limited to machine words.
@@ -200,19 +204,21 @@ def kernel_basis(p: Weights) -> tuple[Vector, ...]:
     return rows
 
 
-def _gram_schmidt(rows, start: int = 0, gs=None):
-    """Exact Gram-Schmidt data (mu, norm2, star) over Fractions; raises on
-    linearly dependent rows.
+def _gram_schmidt(rows, start: int = 0, stop: int | None = None, gs=None):
+    """Exact Gram-Schmidt data (mu, norm2, star) of rows start..stop-1 over
+    Fractions; raises on linearly dependent rows.
 
     Row i's data depends only on rows 0..i, so with gs from an earlier call
-    on rows that agree above start, only rows start.. are recomputed, in
-    place, and the rows above keep their data.
+    on rows that agree above start, only rows start..stop-1 (stop defaults
+    to all of them) are computed, in place; the rows above keep their data.
     """
     m = len(rows)
+    if stop is None:
+        stop = m
     if gs is None:
         gs = [[Fraction(0)] * m for _ in range(m)], [None] * m, [None] * m
     mu, norm2, star = gs
-    for i in range(start, m):
+    for i in range(start, stop):
         row = rows[i]
         b = [Fraction(x) for x in row]
         for j in range(i):
@@ -236,11 +242,20 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     Lovasz condition with delta = LLL_DELTA.  Correctness of callers never
     depends on this step; it only shrinks entries.
 
-    A step changes the Gram-Schmidt data only from the first row it touches:
-    size-reducing row k recomputes rows k.., and swapping rows k-1 and k
-    recomputes rows k-1..; every row above keeps its data.  The arithmetic
+    The Gram-Schmidt data is computed only for the rows the loop has
+    reached, rows 0..k_max (Cohen 1993, Alg. 2.6.3): row k's data is first
+    computed when k passes k_max.  Size-reducing row k changes neither b*_k
+    nor the data of any row below it, so only row k is recomputed.
+    Swapping rows k-1 and k recomputes those two and sets k_max = k, so the
+    rows below them are recomputed when the loop reaches them again.  A
+    dependent row therefore raises only when k reaches it.  The arithmetic
     is exact, so the steps and the output are those of a full recomputation
     after every step (tests/helpers.reference_lll).
+
+    Updating mu in place on a swap, and integral LLL (Cohen, Alg. 2.6.7),
+    would do less still.  They wait until the benchmark's peak RSS stops
+    growing with its op count: any speed-up of its small-instance workload
+    now shows as more RSS (ROADMAP.md, items 1 and 3).
     """
     rows = [list(r) for r in basis]
     m = len(rows)
@@ -250,19 +265,23 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     for r in rows:
         if len(r) != width:
             raise ValueError("basis rows must all have the same dimension")
-    gs = _gram_schmidt(rows)
+    gs = _gram_schmidt(rows, 0, 1)
     mu, norm2, _ = gs
-    k = 1
+    k, k_max = 1, 0
     while k < m:
+        if k > k_max:
+            _gram_schmidt(rows, k, k + 1, gs)
+            k_max = k
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
-                _gram_schmidt(rows, k, gs)
+                _gram_schmidt(rows, k, k + 1, gs)
         if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
-            _gram_schmidt(rows, k - 1, gs)
+            _gram_schmidt(rows, k - 1, k + 1, gs)
+            k_max = k
             k = k - 1 if k > 1 else 1
     return tuple(tuple(r) for r in rows)

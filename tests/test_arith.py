@@ -18,6 +18,7 @@ from frobgb import (
     pdegree,
     solve_degree,
 )
+import frobgb.arith
 from frobgb.arith import negative_part, positive_part, xgcd
 
 from helpers import (
@@ -209,7 +210,7 @@ def test_lll_matches_the_full_recompute_reference(pool):
     weights = [inst.weights.entries for inst in pool]
     for ladder in benchmark_ladders().values():
         weights += ladder
-    for n in range(2, 8):
+    for n in range(2, 9):
         for digits in (1, 3, 6, 9, 12):
             weights.append(random_weights(rng, n, n, 2, 10**digits))
     for entries in weights:
@@ -222,6 +223,42 @@ def test_lll_rejects_dependent_rows():
         lll_reduce(((1, 2), (2, 4)))
     with pytest.raises(ValueError):
         lll_reduce(((1, 2), (2, 4, 5)))
+    with pytest.raises(ValueError):
+        lll_reduce(((0, 0), (1, 0)))
+
+
+def test_lll_rejects_a_dependent_row_the_loop_reaches_late():
+    # lll_reduce computes a row's Gram-Schmidt data only when k first
+    # reaches it, so a dependent last row raises only after the rows above
+    # it have been reduced
+    dependent = "basis rows are linearly dependent"
+    with pytest.raises(ValueError, match=dependent):
+        lll_reduce(((1, 0, 0), (0, 1, 0), (1, 1, 0)))
+    rows = kernel_basis(Weights((1001, 1234, 5678, 9999)))
+    assert lll_reduce(rows) != rows  # the loop reduces rows 0..2 first
+    last = tuple(2 * a - 3 * b + c for a, b, c in zip(*rows))
+    with pytest.raises(ValueError, match=dependent):
+        lll_reduce(rows + (last,))
+
+
+def test_lll_computes_gram_schmidt_rows_only_as_it_reaches_them(monkeypatch):
+    # the rows are identical whether a step recomputes only the rows it
+    # changed or every row below them, so only this count tells them apart
+    # (recomputing every row from the first one a step changes gives 2,466)
+    computed = 0
+    gram_schmidt = frobgb.arith._gram_schmidt
+
+    def counting(rows, start=0, stop=None, gs=None):
+        nonlocal computed
+        computed += (len(rows) if stop is None else stop) - start
+        return gram_schmidt(rows, start, stop, gs)
+
+    monkeypatch.setattr(frobgb.arith, "_gram_schmidt", counting)
+    ladder = benchmark_ladders()["fstar-n56"]
+    assert len(ladder) == 21
+    for entries in ladder:
+        lll_reduce(kernel_basis(Weights(entries)))
+    assert computed == 1433
 
 
 def test_lll_trivial_inputs():
