@@ -174,7 +174,7 @@ def run(argv, stdout=None, stderr=None) -> int:
             lines.append(decimal_str(value))
 
         elif args.command == "regularity":
-            reg = index_of_regularity(sol)  # Solution.components is timed already
+            reg = index_of_regularity(sol)  # the corners come with the basis
             payload["index_of_regularity"] = decimal_str(reg)
             lines.append(decimal_str(reg))
 

@@ -10,8 +10,9 @@ so the work depends on p_1 and G, not on t.
 
 The Frobenius number is the largest weighted degree over the corner vectors
 of the staircase of the head ideal; the corners are the irreducible
-components of the head ideal shifted by -1 in every coordinate, so they
-come from the one staircase walk in monideal.
+components of the head ideal shifted by -1 in every coordinate.  They come
+from the one staircase walk in monideal, taken once per basis, when
+lattice_groebner certifies it (GroebnerBasis._staircase).
 
 Solution is the one pipeline, computed lazily and timed per phase;
 frobenius_number and the frob command both read from it.  Its one route
@@ -37,7 +38,7 @@ from .arith import (
     solve_degree,
 )
 from .grobner import GroebnerBasis, _check_cheapest_first, lattice_groebner, reduce_binomial
-from .monideal import MonomialIdeal, initial_ideal, irreducible_decomposition
+from .monideal import MonomialIdeal, initial_ideal
 from .order import OrderConfig
 
 __all__ = [
@@ -119,15 +120,18 @@ class Solution:
         return initial_ideal(self.basis)
 
     @cached_property
-    def components(self) -> frozenset[Vector]:
-        return self.timed("extraction", irreducible_decomposition, self.ideal, self.weights)
+    def corners(self) -> frozenset[Vector]:
+        """Staircase corners: a_1 = -1, x^(a+) is standard and every
+        x^((a+e_i)+), i >= 2, is not.  Their degrees are the pointwise
+        maximal gaps; the largest is f*.  The basis has x_1 cheapest, and
+        its staircase walk, taken when it was certified, found the a+."""
+        return frozenset((-1,) + m for m in self.basis._staircase[1])
 
     @cached_property
-    def corners(self) -> frozenset[Vector]:
-        """Staircase corners, the components shifted by -1: a_1 = -1, x^(a+)
-        is standard and every x^((a+e_i)+), i >= 2, is not.  Their degrees
-        are the pointwise maximal gaps; the largest is f*."""
-        return frozenset(tuple(x - 1 for x in v) for v in self.components)
+    def components(self) -> frozenset[Vector]:
+        """The irreducible components of the head ideal: the corners
+        shifted by +1, as monideal.irreducible_decomposition returns them."""
+        return frozenset(tuple(x + 1 for x in a) for a in self.corners)
 
     @cached_property
     def frobenius(self) -> int:
@@ -145,6 +149,6 @@ def frobenius_number(p: Weights | Iterable[int]) -> int:
 
     Accepts a Weights instance or any iterable of positive coprime integers.
     f* is the largest weighted degree of a staircase corner (Solution.corners),
-    read off the irreducible decomposition of the head ideal.
+    the irreducible components of the head ideal shifted by -1.
     """
     return Solution(p).frobenius

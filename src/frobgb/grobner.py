@@ -46,10 +46,12 @@ p_rv if and only if J = I_L:
    prime and holds no variable, so h lies in I_L, hence in J by the
    minimality of f, and f lies in J.
 
-The count is monideal.colength on the heads with the x_rv coordinate
-removed; it is None, and certifies nothing, when some variable has no pure
-power among them.  Compare Bigatti, La Scala and Robbiano 1999, "Computing
-toric ideals".
+The count comes from the one staircase walk, monideal.staircase, on the
+heads with the x_rv coordinate removed; it is None, and certifies nothing,
+when some variable has no pure power among them.  The same walk yields the
+maximal standard monomials of that projection, the staircase corners that
+f* is read from (frobenius.Solution.corners).  Compare Bigatti, La Scala
+and Robbiano 1999, "Computing toric ideals".
 
 The basis does not depend on the pass order, but the time does.  The first
 pass is the only one on the unsaturated ideal, and on skewed weights nearly
@@ -66,16 +68,13 @@ lattice_groebner runs the first variable of this order and then the
 requested cheapest variable rv, so the second run is in the target order,
 and counts.  When the count is not p_rv it saturates the rest of the order
 but its second variable, then runs rv again: n runs in all for n >= 4.
-For n <= 3 the two runs already saturate all variables but one, and the
-count is skipped.  The first run stays because it decides whether a skewed
-input stalls: on unreduced rows of 160 random inputs (n = 3..6, 2 to 8
-digits, half with one weight <= 30), 6 ran past a 3 s limit with every
-pass or without the second, 27 without the first.  All 21 fstar-n56
-benchmark instances and all 40 cli-small instances take two runs.  Over the
-fstar-n56 instances on LLL rows (sums of per-instance minima of 7 runs,
-five alternating pairs, 2-core x86-64, Python 3.11) the saturation took
-0.58-0.73 s with n - 1 runs and 0.30-0.48 s with two runs and the count, of
-which the count is about 0.05 s.
+For n <= 3 the two runs already saturate all variables but one, so no
+third run is needed, but validate_basis still takes the count.  The first
+run stays because it decides whether a skewed input stalls: on unreduced
+rows of 160 random inputs (n = 3..6, 2 to 8 digits, half with one weight
+<= 30), 6 ran past a 3 s limit with every pass or without the second, 27
+without the first.  All 21 fstar-n56 benchmark instances and all 40
+cli-small instances take two runs.
 
 Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
 (criteria B, M and F and the product criterion, see _buchberger) and drops
@@ -106,7 +105,7 @@ from .arith import (
     pdegree,
     positive_part,
 )
-from .monideal import _check_head_shape, _divides, colength
+from .monideal import _check_head_shape, _divides, staircase
 from .order import GT, LT, OrderConfig, compare
 
 __all__ = [
@@ -157,13 +156,14 @@ class GroebnerBasis:
         return tuple(_reducer(g.head, g.tail) for g in self.elements)
 
     @cached_property
-    def _apery_count(self) -> int | None:
-        """The number of monomials free of the cheapest variable x_rv outside
-        the head ideal (monideal.colength of the heads without coordinate
-        rv), counted once.  It is p_rv exactly when the elements generate
-        the lattice ideal I_L (see the module docstring)."""
+    def _staircase(self) -> tuple[int | None, frozenset[Vector]]:
+        """monideal.staircase of the heads without the coordinate of the
+        cheapest variable x_rv, walked once: the number of x_rv-free
+        monomials outside the head ideal, which is p_rv exactly when the
+        elements generate the lattice ideal I_L (see the module docstring),
+        and the maximal ones among them, the staircase corners."""
         rv = self.order.revlex_variable
-        return colength(self.weights.n - 1, (h[: rv - 1] + h[rv:] for h in self.heads()))
+        return staircase(self.weights.n - 1, (h[: rv - 1] + h[rv:] for h in self.heads()))
 
 
 # -- internal monomial helpers (pairs of plain tuples, no validation) --------
@@ -392,20 +392,10 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     one with the variable of largest row degree cheapest, then one in the
     target order, with rv = cfg.revlex_variable cheapest.  Their ideal J is
     inside I_L, and J = I_L exactly when the rv-free monomials outside the
-    head ideal number p_rv (the Apery count): in(J + x_rv) = in(J) + x_rv
-    because in one degree every x_rv-free monomial beats every
-    x_rv-divisible one; k[x]/(I_L + x_rv) has one standard monomial per
-    Apery element of p_rv; and J + x_rv = I_L + x_rv gives J = I_L by
-    induction on degree, since I_L is prime and holds no variable.
-
-    When the count differs, the other variables but the second of the
-    row-degree order are saturated and rv runs again.  That is exact too:
-    for any Z-basis B of the lattice L and any variable x_j,
-    I_B : (prod_{i != j} x_i)^inf is already I_L.  Write u in L as a
-    combination of B and apply its moves to x^(u-), the ones that raise the
-    x_j exponent first; that exponent then never drops below 0, so
-    x^(u+) - x^(u-) lies in I_B * k[x][x_i^-1 : i != j].  The module
-    docstring has both proofs in full.
+    head ideal number p_rv (the Apery count).  When the count differs, the
+    other variables but the second of the row-degree order are saturated
+    and rv runs again, which already gives I_L.  The module docstring has
+    the proofs of both steps.
     """
     if cfg.weights != p:
         raise ValueError("order configuration was built for different weights")
@@ -427,7 +417,7 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     cur = _saturate(cur, passes[:1] + [rv], cfg)
     basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
     rest = passes[2:]  # the second variable is never saturated
-    if rest and basis._apery_count != p.entries[rv - 1]:
+    if rest and basis._staircase[0] != p.entries[rv - 1]:
         cur = _saturate(cur, rest + [rv], cfg)
         basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
     validate_basis(basis)  # on the certified path it reads the count taken above
@@ -475,7 +465,7 @@ def validate_basis(G: GroebnerBasis) -> None:
             if not mask & ~tail_masks[j] and _multiplicity(g.tail, support):
                 raise ValueError(f"head {heads[i]} divides tail {g.tail}")
     _check_head_shape(heads, n, rv, p.entries[rv])
-    count = G._apery_count
+    count = G._staircase[0]
     if count != p.entries[rv]:
         raise ValueError(
             f"the heads leave {decimal_str(count)} standard monomials free of"

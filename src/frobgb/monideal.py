@@ -5,23 +5,20 @@ irreducible component is the vector v of the ideal generated by x_i^(v_i)
 for the coordinates with v_i > 0; the functions here return components as
 plain tuples.
 
-The main decomposition path targets head ideals of kernel lattice bases:
-generators free of the first variable and, for every other variable, some
-pure power present.  Components of such an ideal are its maximal standard
-monomials m shifted by one: m is outside I while every m + e_j, j >= 2, is
-inside.  Each coordinate of a component is therefore some generator
-exponent, and each j needs a witness generator g with g_j = m_j + 1 and
-g_k <= m_k elsewhere.  The walk assigns the coordinates in turn, tests
-membership only against the generators whose last nonzero coordinate was
-just assigned, and prunes a partial assignment as soon as some assigned
-coordinate has no witness left.  A splitting-based path for arbitrary proper
-monomial ideals is provided as an independent cross-check.
+One recursion, staircase, walks the staircase: it slices on the last
+variable and returns both the number of standard monomials and, when that
+number is finite, the maximal ones.  The count (colength alone) certifies
+every Groebner basis (grobner.validate_basis), and the maximal standard
+monomials, shifted by one, are the irreducible components.  The main
+decomposition path targets head ideals of kernel lattice bases: generators
+free of the first variable and, for every other variable, some pure power
+present, so the x_1-free projection is artinian.  A splitting-based path for
+arbitrary proper monomial ideals is provided as an independent cross-check.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from operator import le
 
 from .arith import Vector, Weights, _check_dim, decimal_str
@@ -37,6 +34,7 @@ __all__ = [
     "irreducible_decomposition",
     "irreducible_decomposition_general",
     "minimalize",
+    "staircase",
 ]
 
 
@@ -54,48 +52,60 @@ def minimalize(gens) -> frozenset[Vector]:
     return frozenset(kept)
 
 
-def colength(n: int, gens) -> int | None:
+def staircase(n: int, gens) -> tuple[int | None, frozenset[Vector]]:
     """The number of monomials in n variables outside the ideal generated by
-    gens, or None when there are infinitely many.
+    gens (None when there are infinitely many) and, when it is finite, the
+    maximal ones among them: the m outside with every m + e_j inside.
 
     Slices on the last variable.  Between consecutive distinct last
     exponents c < c' of the generators (0 included), x^m * x_n^e with
-    c <= e < c' lies in the ideal exactly when x^m lies in the slice
+    c <= e < c' lies in the ideal exactly when x^m lies in the slice S_c
     generated by the g[:-1] with g_n <= c, so that interval adds c' - c
-    times the count of the slice in n - 1 variables.  Past the largest last
+    times the count of S_c in n - 1 variables.  Past the largest last
     exponent the slice must be the unit ideal, or the count is infinite.
-    Equal slices are counted once, and every count is an exact integer, so
-    the cost depends on the generators, not on the size of their exponents.
+    x^m * x_n^e is maximal outside exactly when e = c' - 1, x^m is maximal
+    outside S_c, and x^m lies in S_c', that is, some generator of S_c' that
+    S_c lacks divides it.  Equal slices are walked once, and every count is
+    an exact integer, so the cost depends on the generators, not on the size
+    of their exponents.
     """
     gens = [tuple(g) for g in gens]
     for g in gens:
         _check_dim(g, n)
         if any(x < 0 for x in g):
             raise ValueError(f"generator {g} has a negative exponent")
-    memo: dict[frozenset[Vector], int | None] = {}
+    memo: dict[frozenset[Vector], tuple[int | None, list[Vector]]] = {}
 
-    def count(k: int, ideal: frozenset[Vector]) -> int | None:
+    def walk(k: int, ideal: frozenset[Vector]) -> tuple[int | None, list[Vector]]:
         if not ideal:
-            return None if k else 1
+            return (None, []) if k else (1, [()])
         if (0,) * k in ideal:
-            return 0
+            return 0, []
         if ideal in memo:
             return memo[ideal]
-        levels = sorted({g[-1] for g in ideal} | {0})
-        total: int | None = 0
-        below: set[Vector] = set()
-        for c, nxt in zip(levels, levels[1:] + [None]):
-            below.update(g[:-1] for g in ideal if g[-1] == c)
-            inner = count(k - 1, minimalize(below))
-            if nxt is None or inner is None:
-                if inner != 0:  # an infinite slice, or a last one that is not the unit
-                    total = None
+        total, tops = 0, []
+        last, cut, inner, inner_tops = 0, frozenset(), 0, []
+        for c in sorted({g[-1] for g in ideal} | {0}):
+            total += (c - last) * inner
+            prev, cut = cut, minimalize(cut | {g[:-1] for g in ideal if g[-1] == c})
+            new = cut - prev
+            tops += [m + (c - 1,) for m in inner_tops if any(_divides(g, m) for g in new)]
+            inner, inner_tops = walk(k - 1, cut)
+            if inner is None:
                 break
-            total += (nxt - c) * inner
-        memo[ideal] = total
-        return total
+            last = c
+        # a finite count needs the last slice to be the unit ideal
+        memo[ideal] = out = (total if inner == 0 else None), tops
+        return out
 
-    return count(n, minimalize(gens))
+    count, tops = walk(n, minimalize(gens))
+    return count, frozenset(tops)
+
+
+def colength(n: int, gens) -> int | None:
+    """The number of monomials in n variables outside the ideal generated by
+    gens, or None when there are infinitely many; see staircase."""
+    return staircase(n, gens)[0]
 
 
 @dataclass(frozen=True)
@@ -200,76 +210,18 @@ def _check_head_shape(heads, n: int, cheap: int = 0, bound: int | None = None) -
 def irreducible_decomposition(I: MonomialIdeal, p: Weights) -> frozenset[Vector]:
     """Irredundant irreducible decomposition of a head-shaped ideal.
 
-    Components v have v_1 = 0 and v_i drawn from generator exponents; v is a
-    component exactly when the shifted monomial m with m_1 = 0, m_i = v_i - 1
-    is outside I while every m + e_j, j >= 2, lies inside.  Given m outside
-    I, m + e_j lies inside exactly when some generator g is a witness for j:
-    g_j = m_j + 1 and g_k <= m_k for every k != j.
-
-    The walk assigns m_2, ..., m_n in turn.  After assigning m_i it tests
-    membership against the generators whose last nonzero coordinate is i
-    (the others were tested at their own level, or cannot be decided yet),
-    and stops the ascending candidate loop at the first value inside I,
-    since every larger one is inside too.  It then keeps, for every assigned
-    j <= i, the witnesses for j that still fit the assigned coordinates, and
-    prunes when some j has none left.  A free coordinate k > i reaches at
-    most a_k - 1, where x_k^(a_k) is the pure power, and every generator
-    other than that pure power already has g_k < a_k, so free coordinates
-    never rule a witness out.  At the last level every j has a witness, so
-    each leaf is a component.  Generator sets are bit masks over the
-    generators.
+    Components v have v_1 = 0, and v is a component exactly when the
+    shifted monomial m with m_1 = 0, m_i = v_i - 1 is outside I while every
+    m + e_j, j >= 2, lies inside: the maximal standard monomials of the
+    x_1-free projection of I, which staircase returns.
     """
     if I.n != p.n:
         raise ValueError("ideal and weights have different dimensions")
     if I.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
     _check_head_shape(I.generators, I.n)
-    n = I.n
-    gens = I.sorted_generators()
-    candidates = [sorted({g[i] for g in gens if g[i]}) for i in range(n)]
-
-    # ending[i]: generators whose last nonzero coordinate is i.
-    # exact[i][c]: generators with g_i == c, the witnesses for m_i = c - 1.
-    # below[i][c]: generators with g_i < c, i.e. g_i <= m_i for m_i = c - 1.
-    ending = [0] * n
-    exact: list[dict[int, int]] = [{} for _ in range(n)]
-    below: list[dict[int, int]] = [{} for _ in range(n)]
-    for b, g in enumerate(gens):
-        bit = 1 << b
-        ending[max(i for i in range(n) if g[i])] |= bit
-        for i in range(1, n):
-            exact[i][g[i]] = exact[i].get(g[i], 0) | bit
-    for i in range(1, n):
-        acc = exact[i].get(0, 0)
-        for c in candidates[i]:
-            below[i][c] = acc
-            acc |= exact[i][c]
-
-    out: list[Vector] = []
-    v = [0] * n
-
-    def walk(i: int, divides: int, witnesses: list[int]) -> None:
-        # divides: generators with g_k <= m_k for every assigned k;
-        # witnesses: for each assigned j in turn, its witnesses that fit
-        # every assigned k != j.
-        if i == n:
-            out.append(tuple(v))
-            return
-        for c in candidates[i]:
-            fits = below[i][c]
-            inner = divides & fits
-            if inner & ending[i]:
-                break
-            own = exact[i][c] & divides
-            if not own:
-                continue
-            kept = [w & fits for w in witnesses]
-            if all(kept):
-                v[i] = c
-                walk(i + 1, inner, kept + [own])
-
-    walk(1, (1 << len(gens)) - 1, [])
-    return frozenset(out)
+    _, tops = staircase(I.n - 1, (g[1:] for g in I.generators))
+    return frozenset((0,) + tuple(x + 1 for x in m) for m in tops)
 
 
 def irreducible_decomposition_general(I: MonomialIdeal) -> frozenset[Vector]:
@@ -308,34 +260,14 @@ def irreducible_decomposition_general(I: MonomialIdeal) -> frozenset[Vector]:
         stack.append(minimalize(set(gens) | {tuple(power)}))
         stack.append(minimalize(set(gens) | {tuple(rest)}))
 
-    # Drop dominated components, then any whose removal keeps the intersection.
-    comps = set(components)
-    for v, w in combinations(sorted(components), 2):
-        fv, fw = component_ideal(v), component_ideal(w)
-        if _ideal_subset(fv, fw):
-            comps.discard(w)
-        elif _ideal_subset(fw, fv):
-            comps.discard(v)
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(comps):
-            rest = [w for w in comps if w != v]
-            if not rest:
-                break
-            K = component_ideal(rest[0])
-            for w in rest[1:]:
-                K = intersect(K, component_ideal(w))
-            if K == intersect(K, component_ideal(v)):
-                comps.discard(v)
-                changed = True
-                break
-    return frozenset(comps)
-
-
-def _ideal_subset(I: MonomialIdeal, J: MonomialIdeal) -> bool:
-    """True iff I is contained in J."""
-    return all(contains_monomial(J, g) for g in I.generators)
+    # The standard monomials of an irreducible ideal form a box, so a
+    # component contains the intersection of the others only when it
+    # contains one of them: keep the components that contain no other.
+    return frozenset(
+        v
+        for v in components
+        if not any(w != v and all(0 < a <= b for a, b in zip(v, w) if b) for w in components)
+    )
 
 
 def format_component(v: Vector) -> str:

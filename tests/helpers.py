@@ -285,10 +285,10 @@ def reference_groebner(rows, cfg):
 
 # -- reference staircase walk ------------------------------------------------
 #
-# The walk irreducible_decomposition used before it gained the last-coordinate
-# index and the witness prune: every candidate exponent of every coordinate is
-# tried, each partial assignment is tested against all generators, and each
-# leaf is tested by bumping every coordinate in turn.
+# A plain walk over the shifted monomials, independent of the slice recursion
+# behind irreducible_decomposition: every candidate exponent of every
+# coordinate is tried, each partial assignment is tested against all
+# generators, and each leaf is tested by bumping every coordinate in turn.
 
 
 def reference_decomposition(I):

@@ -2,9 +2,10 @@
 
 Decompositions are certified three ways: pointwise membership on a grid,
 exact equality of the generator sets of the recomputed intersection, and a
-constructed witness monomial per component for irredundancy.  The pruned
-staircase walk is also compared with the plain reference walk and with the
-general splitting decomposition.
+constructed witness monomial per component for irredundancy.  The staircase
+walk is also compared with the plain reference walk, with the general
+splitting decomposition and, on artinian ideals, with a brute-force search
+for the maximal standard monomials.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ import pytest
 
 from frobgb import (
     MonomialIdeal,
+    Solution,
     Weights,
     component_ideal,
     contains_monomial,
@@ -26,9 +28,9 @@ from frobgb import (
     irreducible_decomposition,
     irreducible_decomposition_general,
 )
-from frobgb.monideal import colength, minimalize
+from frobgb.monideal import colength, minimalize, staircase
 
-from helpers import reference_decomposition
+from helpers import benchmark_ladders, reference_decomposition
 from test_grobner import make_gb
 
 SEED = 331144
@@ -87,6 +89,21 @@ def brute_colength(n, gens):
     return count
 
 
+def brute_maximal(n, gens):
+    """The standard monomials m of an artinian ideal with every m + e_j
+    inside, from the same box as brute_colength."""
+    top = max((x for g in gens for x in g), default=0) + 1
+
+    def inside(m):
+        return any(all(a <= b for a, b in zip(g, m)) for g in gens)
+
+    return {
+        m
+        for m in product(range(top), repeat=n)
+        if not inside(m) and all(inside(m[:j] + (m[j] + 1,) + m[j + 1:]) for j in range(n))
+    }
+
+
 def test_colength_matches_enumeration():
     rng = random.Random(SEED + 3)
     finite = infinite = 0
@@ -95,6 +112,7 @@ def test_colength_matches_enumeration():
         gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 5))]
         if k % 2:  # artinian: a pure power of every variable
             gens += [tuple(rng.randint(1, 5) if j == i else 0 for j in range(n)) for i in range(n)]
+            assert staircase(n, gens)[1] == brute_maximal(n, gens), (n, gens)
         expected = brute_colength(n, gens)
         assert colength(n, gens) == expected, (n, gens)
         finite += expected is not None
@@ -273,7 +291,7 @@ def random_head_ideal(rng, n):
     """A head-shaped ideal that no Groebner basis produced: a pure power of
     every variable but x_1, plus random generators free of x_1 with small
     exponents and a few zeros, so many generators share an exponent and
-    witness sets have ties."""
+    many slices repeat."""
     powers = [rng.randint(2, 6) for _ in range(n - 1)]
     gens = []
     for i, a in enumerate(powers, start=1):
@@ -290,8 +308,13 @@ def random_head_ideal(rng, n):
 
 
 def test_decomposition_matches_reference_on_pool(pool):
-    for inst in pool:
-        assert inst.components == reference_decomposition(inst.ideal), inst.weights.entries
+    # the pool, and the instances the benchmark times frob number on
+    ladder = [Solution(p) for p in benchmark_ladders()["fstar-n56"]]
+    assert len(ladder) == 21
+    for sol in [*pool, *ladder]:
+        expected = reference_decomposition(sol.ideal)
+        got = irreducible_decomposition(sol.ideal, sol.weights)
+        assert sol.components == expected == got, sol.weights.entries
 
 
 def test_decomposition_matches_reference_on_random_head_ideals():
