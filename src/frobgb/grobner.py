@@ -77,7 +77,7 @@ without the first.  All 21 fstar-n56 benchmark instances and all 40
 cli-small instances take two runs.
 
 Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
-(criteria B, M and F and the product criterion, see _buchberger) and drops
+(criteria M and F and the product criterion, see _buchberger) and drops
 elements whose head a newer head divides.  An S-pair is only top-reduced:
 its larger side is divided until the two sides meet or that side is
 irreducible, and the tails of the run's basis are reduced once, at the end
@@ -178,11 +178,9 @@ def _strip(h: Vector, t: Vector) -> tuple[Vector, Vector]:
     return h, t
 
 
-def _orient(u: Vector, v: Vector, key) -> tuple[Vector, Vector] | None:
-    ku, kv = key(u), key(v)
-    if ku == kv:
-        return None
-    return (u, v) if ku > kv else (v, u)
+def _orient(u: Vector, v: Vector, key) -> tuple[Vector, Vector]:
+    """The two sides, larger first; u != v, so sort_key tells them apart."""
+    return (u, v) if key(u) > key(v) else (v, u)
 
 
 def _support(v: Vector) -> int:
@@ -246,10 +244,9 @@ def _nf_monomial(m: Vector, reducers) -> Vector:
 def _buchberger(gens, cfg: OrderConfig):
     """Buchberger's algorithm on oriented primitive binomial pairs.
 
-    Every insertion of an element k runs the Gebauer-Moeller update:
+    Every insertion of an element k runs the Gebauer-Moeller update on the
+    new pairs only:
 
-    - criterion B drops a queued pair (i, j) when head k divides
-      lcm(i, j) and that lcm differs from both lcm(i, k) and lcm(j, k);
     - criterion M drops a new pair (i, k) whose lcm is strictly divided by
       the lcm of another new pair;
     - criterion F keeps one new pair per lcm, and the product criterion
@@ -257,6 +254,10 @@ def _buchberger(gens, cfg: OrderConfig):
       heads (coprime pairs included);
     - older elements whose head is divisible by head k leave the basis:
       they stop reducing and forming pairs, while their queued pairs stay.
+
+    Criterion B, which drops queued pairs, is left out: an S-pair is only
+    top-reduced, so the zero reductions it saves are cheap, and scanning
+    the whole queue on every insertion cost about as much as they do.
 
     Pairs are processed by ascending term order of the lcm of the heads (ties
     by the indices of the pair).  An S-pair is top-reduced: only its larger
@@ -272,8 +273,7 @@ def _buchberger(gens, cfg: OrderConfig):
     tails: list[Vector] = []
     active: list[int] = []  # indices of the current basis
     reducers: list = []  # their reducer data, in the same order
-    pairs: dict[tuple[int, int], tuple[Vector, int]] = {}  # queued: lcm, mask
-    heap: list = []
+    heap: list = []  # (key(lcm), i, j, lcm); (i, j) is unique, so no lcm is compared
     seen: set[tuple[Vector, Vector]] = set()
 
     def insert(h: Vector, t: Vector) -> None:
@@ -282,18 +282,6 @@ def _buchberger(gens, cfg: OrderConfig):
         seen.add((h, t))
         k = len(heads)
         mk = _support(h)
-
-        # criterion B on the queued pairs
-        doomed = [
-            (i, j)
-            for (i, j), (lcm, lmask) in pairs.items()
-            if not mk & ~lmask
-            and _divides(h, lcm)
-            and tuple(map(max, heads[i], h)) != lcm
-            and tuple(map(max, heads[j], h)) != lcm
-        ]
-        for ij in doomed:
-            del pairs[ij]
 
         # criterion M on the new pairs.  lcm(i, k) = h + q_i with q_i the
         # excess of head i over h, so lcm(j, k) divides lcm(i, k) exactly
@@ -319,8 +307,7 @@ def _buchberger(gens, cfg: OrderConfig):
         for q, i, _, coprime in groups:
             if not coprime:
                 lcm = tuple(map(add, h, q))
-                pairs[(i, k)] = (lcm, _support(lcm))
-                heappush(heap, (key(lcm), i, k))
+                heappush(heap, (key(lcm), i, k, lcm))
 
         # older elements with a head divisible by h leave the basis
         kept = [
@@ -337,11 +324,7 @@ def _buchberger(gens, cfg: OrderConfig):
         insert(h, t)
 
     while heap:
-        _, i, j = heappop(heap)
-        queued = pairs.pop((i, j), None)
-        if queued is None:
-            continue  # dropped by criterion B
-        lcm = queued[0]
+        _, i, j, lcm = heappop(heap)
         u = tuple(l - a + b for l, a, b in zip(lcm, heads[i], tails[i]))
         v = tuple(l - a + b for l, a, b in zip(lcm, heads[j], tails[j]))
         ku, kv = key(u), key(v)
@@ -374,12 +357,7 @@ def _saturate(cur, passes, cfg: OrderConfig):
     for var in passes:
         pass_cfg = cfg.with_revlex(var)
         key = pass_cfg.sort_key
-        oriented = []
-        for a, b in cur:
-            pair = _orient(a, b, key)
-            if pair is None:
-                continue
-            oriented.append(_strip(*pair))
+        oriented = [_strip(*_orient(a, b, key)) for a, b in cur]
         cur = _interreduce(_buchberger(oriented, pass_cfg), key)
     return cur
 

@@ -7,13 +7,13 @@ plain tuples.
 
 One recursion, staircase, walks the staircase: it slices on the last
 variable and returns both the number of standard monomials and, when that
-number is finite, the maximal ones.  The count (colength alone) certifies
-every Groebner basis (grobner.validate_basis), and the maximal standard
-monomials, shifted by one, are the irreducible components.  The main
-decomposition path targets head ideals of kernel lattice bases: generators
-free of the first variable and, for every other variable, some pure power
-present, so the x_1-free projection is artinian.  A splitting-based path for
-arbitrary proper monomial ideals is provided as an independent cross-check.
+number is finite, the maximal ones.  The count certifies every Groebner
+basis (grobner.validate_basis), and the maximal standard monomials, shifted
+by one, are the irreducible components.  The main decomposition path
+targets head ideals of kernel lattice bases: generators free of the first
+variable and, for every other variable, some pure power present, so the
+x_1-free projection is artinian.  A splitting-based path for arbitrary
+proper monomial ideals is provided as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .arith import Vector, Weights, _check_dim, decimal_str
 
 __all__ = [
     "MonomialIdeal",
-    "colength",
     "component_ideal",
     "contains_monomial",
     "format_component",
@@ -100,12 +99,6 @@ def staircase(n: int, gens) -> tuple[int | None, frozenset[Vector]]:
 
     count, tops = walk(n, minimalize(gens))
     return count, frozenset(tops)
-
-
-def colength(n: int, gens) -> int | None:
-    """The number of monomials in n variables outside the ideal generated by
-    gens, or None when there are infinitely many; see staircase."""
-    return staircase(n, gens)[0]
 
 
 @dataclass(frozen=True)

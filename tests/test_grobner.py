@@ -20,6 +20,7 @@ from frobgb import (
     OrderConfig,
     Solution,
     Weights,
+    apery_frobenius,
     compare,
     contains_monomial,
     format_binomial,
@@ -369,6 +370,18 @@ def test_matches_the_all_pairs_reference(pool):
                 for _ in range(8):
                     m = tuple(rng.randint(0, top) for _ in range(inst.weights.n))
                     assert normal_form(m, G) == _ref_nf(m, expected), (cfg, m)
+
+
+@pytest.mark.parametrize("entries", [(100, 1669, 1571, 825, 1873, 769, 1101),
+                                     (1274, 300, 1959, 1673, 853, 1371, 177)])
+def test_seven_weights_match_the_all_pairs_reference(entries):
+    # the pool stops at n = 5 and the ladders at n = 6, while the queue the
+    # pair criteria prune grows fastest with n: on LLL rows with x_1
+    # cheapest, the basis is the reference's and f* the oracle's
+    sol = Solution(entries)
+    expected = reference_groebner(sol.reduced_rows, sol.basis.order)
+    assert [(g.head, g.tail) for g in sol.basis.elements] == expected
+    assert sol.frobenius == apery_frobenius(entries)
 
 
 @pytest.fixture
