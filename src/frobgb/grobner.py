@@ -53,35 +53,38 @@ maximal standard monomials of that projection, the staircase corners that
 f* is read from (frobenius.Solution.corners).  Compare Bigatti, La Scala
 and Robbiano 1999, "Computing toric ideals".
 
-The basis does not depend on the pass order, but the time does.  The first
+The basis does not depend on the pass order, but the time can.  The first
 pass is the only one on the unsaturated ideal, and on skewed weights nearly
 all of the time goes there; on balanced weights no pass dominates.  The
 variables are ordered by decreasing max |r_i| * p_i over the rows r, the
-largest degree x_i reaches in a row.  On LLL rows this is close to
-decreasing weight and keeps a light variable out of the first pass (27 s
-with x_2 cheapest on (92363017, 2, 18956779, 58102191, 70656069),
-milliseconds with x_5).  On unreduced kernel rows it puts x_2 first, as
-index order does; weight order alone stalls there on some 4-digit
-instances that index order solves.
+largest degree x_i reaches in a row; on LLL rows this is close to
+decreasing weight.  The choice weighs little as measured: on the LLL rows
+of (92363017, 2, 18956779, 58102191, 70656069) the first two runs take
+11 ms with x_2 cheapest first and 7 ms with x_5; on the unreduced kernel
+rows of 100 random 4-digit inputs (n = 4..6, 3 s limit), 9 ran past the
+limit with this first variable, 8 with the heaviest and 9 with x_2.
 
 lattice_groebner runs the first variable of this order and then the
 requested cheapest variable rv, so the second run is in the target order,
 and counts.  When the count is not p_rv it saturates the rest of the order
 but its second variable, then runs rv again: n runs in all for n >= 4.
 For n <= 3 the two runs already saturate all variables but one, so no
-third run is needed, but validate_basis still takes the count.  The first
-run stays because it decides whether a skewed input stalls: on unreduced
-rows of 160 random inputs (n = 3..6, 2 to 8 digits, half with one weight
-<= 30), 6 ran past a 3 s limit with every pass or without the second, 27
-without the first.  All 21 fstar-n56 benchmark instances and all 40
-cli-small instances take two runs.
+third run is needed, but validate_basis still takes the count.  On LLL rows
+of 160 seeded random inputs (n = 3..6, 2 to 8 digits, half with one weight
+<= 30, x_1 cheapest) none ran past a 3 s limit.  On their unreduced kernel
+rows 4 did with these runs, 4 with every pass and 3 without the first.
+All 21 fstar-n56 benchmark instances and all 40 cli-small instances take
+two runs.
 
 Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
 (criteria M and F and the product criterion, see _buchberger) and drops
-elements whose head a newer head divides.  An S-pair is only top-reduced:
-its larger side is divided until the two sides meet or that side is
-irreducible, and the tails of the run's basis are reduced once, at the end
-(_interreduce).  Division looks reducers up by the support bitmask of their
+elements whose head a newer head divides.  Input binomials and S-pairs
+enter a run by one route: they wait in one queue in ascending term order,
+and each is only top-reduced, so the larger side is divided until the two
+sides meet or that side is irreducible, and a nonzero remainder is made
+primitive and inserted.  Every head in a run is then irreducible by the
+others, and the run returns the reduced basis once its tails are reduced,
+at the end.  Division looks reducers up by the support bitmask of their
 heads, so a head that uses a variable the monomial lacks is passed over
 without scanning exponents, and the other heads are scanned over their
 nonzero entries only.  validate_basis takes the same Apery count, so a
@@ -90,6 +93,7 @@ basis it accepts generates I_L, as normal_form assumes.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
@@ -100,6 +104,7 @@ from .arith import (
     Weights,
     _check_dim,
     _gram_schmidt,
+    as_weights,
     decimal_str,
     negative_part,
     pdegree,
@@ -178,11 +183,6 @@ def _strip(h: Vector, t: Vector) -> tuple[Vector, Vector]:
     return h, t
 
 
-def _orient(u: Vector, v: Vector, key) -> tuple[Vector, Vector]:
-    """The two sides, larger first; u != v, so sort_key tells them apart."""
-    return (u, v) if key(u) > key(v) else (v, u)
-
-
 def _support(v: Vector) -> int:
     """Bitmask of the coordinates where v is nonzero."""
     mask = 0
@@ -242,7 +242,20 @@ def _nf_monomial(m: Vector, reducers) -> Vector:
 
 
 def _buchberger(gens, cfg: OrderConfig):
-    """Buchberger's algorithm on oriented primitive binomial pairs.
+    """Reduced Groebner basis of the binomials gens, sorted by head.
+
+    gens are the two sides of each binomial, in either order.  Every
+    binomial enters by one route, enter: its larger side in the order takes
+    division steps (see _reduce_step), one at a time, until the two sides
+    meet (a zero reduction, and it is dropped) or the larger side is
+    irreducible.  Then the pair is made primitive and inserted with its
+    tail as it stands.  So every head that enters is irreducible by the
+    current basis, and as insert drops the older heads it divides, the heads
+    stay an antichain and no element enters twice.  An input is made
+    primitive before it enters as well: it is a row or an element of the
+    previous run, and stripping the common factors of a basis computed with
+    x_i cheapest is what saturates x_i, while a multiple of a binomial can
+    reduce to zero where the binomial does not.
 
     Every insertion of an element k runs the Gebauer-Moeller update on the
     new pairs only:
@@ -259,13 +272,16 @@ def _buchberger(gens, cfg: OrderConfig):
     top-reduced, so the zero reductions it saves are cheap, and scanning
     the whole queue on every insertion cost about as much as they do.
 
-    Pairs are processed by ascending term order of the lcm of the heads (ties
-    by the indices of the pair).  An S-pair is top-reduced: only its larger
-    side takes division steps (see _reduce_step), one at a time, until the
-    two sides meet (a zero reduction) or the larger side is irreducible.
-    Then the pair is made primitive and inserted with its tail as it stands;
-    _interreduce reduces every tail once at the end.  Returns the final
-    basis, which is a Groebner basis but not yet reduced.
+    The inputs wait in the pair queue, each keyed by its larger side, so
+    inputs and S-pairs enter in one ascending term order (ties by the
+    indices, inputs first), with an S-pair's key the lcm of its heads.  The
+    order is degree-first and the binomials are homogeneous, so a binomial
+    enters only after every input and S-pair of lower degree has, and the
+    basis it is reduced by is already a Groebner basis in those degrees.
+    Entering every input first, in the order given, gave the same bases but
+    stalled on more unreduced kernel rows (12 of the 160 inputs of the
+    module docstring against 4).  At the end every tail is reduced to its
+    normal form by the basis, which gives the reduced basis.
     """
     key = cfg.sort_key
     p = cfg.weights.entries
@@ -273,13 +289,11 @@ def _buchberger(gens, cfg: OrderConfig):
     tails: list[Vector] = []
     active: list[int] = []  # indices of the current basis
     reducers: list = []  # their reducer data, in the same order
-    heap: list = []  # (key(lcm), i, j, lcm); (i, j) is unique, so no lcm is compared
-    seen: set[tuple[Vector, Vector]] = set()
+    # (key(lcm), i, j, lcm) for the pair (i, j), (key, -1, j, None) for
+    # input j; (i, j) is unique, so no lcm is compared
+    heap: list = []
 
     def insert(h: Vector, t: Vector) -> None:
-        if (h, t) in seen:
-            return
-        seen.add((h, t))
         k = len(heads)
         mk = _support(h)
 
@@ -320,13 +334,7 @@ def _buchberger(gens, cfg: OrderConfig):
         heads.append(h)
         tails.append(t)
 
-    for h, t in gens:
-        insert(h, t)
-
-    while heap:
-        _, i, j, lcm = heappop(heap)
-        u = tuple(l - a + b for l, a, b in zip(lcm, heads[i], tails[i]))
-        v = tuple(l - a + b for l, a, b in zip(lcm, heads[j], tails[j]))
+    def enter(u: Vector, v: Vector) -> None:
         ku, kv = key(u), key(v)
         while ku != kv:
             if ku < kv:
@@ -334,39 +342,41 @@ def _buchberger(gens, cfg: OrderConfig):
             r = _reduce_step(u, reducers)
             if r is None:
                 insert(*_strip(u, v))
-                break
+                return
             u, ku = r, key(r)
-    return [(heads[i], tails[i]) for i in active]
 
-
-def _interreduce(basis, key):
-    """Minimalize heads, then reduce every tail to its normal form."""
-    items = sorted(set(basis), key=lambda b: (key(b[0]), key(b[1])))
-    kept: list[tuple[Vector, Vector]] = []
-    reducers: list = []
-    for h, t in items:
-        if _reduce_step(h, reducers) is None:
-            kept.append((h, t))
-            reducers.append(_reducer(h, t))
-    return [(h, _nf_monomial(t, reducers)) for h, t in kept]
+    inputs = [_strip(u, v) for u, v in gens]
+    for j, (u, v) in enumerate(inputs):
+        heappush(heap, (max(key(u), key(v)), -1, j, None))
+    while heap:
+        _, i, j, lcm = heappop(heap)
+        if i < 0:
+            enter(*inputs[j])
+            continue
+        enter(
+            tuple(l - a + b for l, a, b in zip(lcm, heads[i], tails[i])),
+            tuple(l - a + b for l, a, b in zip(lcm, heads[j], tails[j])),
+        )
+    active.sort(key=lambda i: key(heads[i]))
+    return [(heads[i], _nf_monomial(tails[i], reducers)) for i in active]
 
 
 def _saturate(cur, passes, cfg: OrderConfig):
     """One Buchberger run per variable of passes, each in the order that
     makes that variable cheapest; returns the last run's reduced basis."""
     for var in passes:
-        pass_cfg = cfg.with_revlex(var)
-        key = pass_cfg.sort_key
-        oriented = [_strip(*_orient(a, b, key)) for a, b in cur]
-        cur = _interreduce(_buchberger(oriented, pass_cfg), key)
+        cur = _buchberger(cur, cfg.with_revlex(var))
     return cur
 
 
-def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
+def lattice_groebner(
+    p: Weights | Iterable[int], basis_rows, cfg: OrderConfig
+) -> GroebnerBasis:
     """Reduced Groebner basis of the saturated kernel lattice ideal.
 
-    basis_rows must be n-1 linearly independent rows spanning the kernel
-    lattice of p (weighted degree 0 each).  Two Buchberger runs come first:
+    p is a Weights or any iterable of the weights.  basis_rows must be n-1
+    linearly independent rows spanning the kernel lattice of p (weighted
+    degree 0 each).  Two Buchberger runs come first:
     one with the variable of largest row degree cheapest, then one in the
     target order, with rv = cfg.revlex_variable cheapest.  Their ideal J is
     inside I_L, and J = I_L exactly when the rv-free monomials outside the
@@ -375,6 +385,7 @@ def lattice_groebner(p: Weights, basis_rows, cfg: OrderConfig) -> GroebnerBasis:
     and rv runs again, which already gives I_L.  The module docstring has
     the proofs of both steps.
     """
+    p = as_weights(p)
     if cfg.weights != p:
         raise ValueError("order configuration was built for different weights")
     n = p.n

@@ -21,7 +21,8 @@ from frobgb import AperyTable, Solution
 from helpers import random_weights
 
 SEED = 20260815
-TEST_LIMIT_S = 120  # the slowest test takes under 10 s
+# the slowest tests take 7-12 s under python -X dev -W error on a 2-vCPU VM
+TEST_LIMIT_S = 120
 
 
 @pytest.fixture(autouse=True)

@@ -77,6 +77,9 @@ def test_frozen_bases():
     assert G.heads() == ((0, 3, 0), (0, 0, 2))
     assert len(G) == 2
     assert G.elements[0].vector == (-5, 3, 0)
+    # the weights may also come as a plain tuple
+    rows = lll_reduce(kernel_basis(Weights((6, 10, 15))))
+    assert lattice_groebner((6, 10, 15), rows, OrderConfig(Weights((6, 10, 15)))) == G
 
 
 def test_reduction_route_does_not_change_the_basis():
@@ -275,6 +278,8 @@ def test_lattice_groebner_rejects_bad_rows():
         lattice_groebner(p, ((-5, 3), (-30, 15)), cfg)  # wrong dimension
     with pytest.raises(ValueError):
         lattice_groebner(Weights((2, 3)), ((-3, 2),), cfg)  # wrong weights
+    with pytest.raises(ValueError, match="different weights"):
+        lattice_groebner((2, 3), ((-3, 2),), cfg)
 
 
 def test_wrong_dimension_has_one_message():
