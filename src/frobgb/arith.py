@@ -204,17 +204,15 @@ def kernel_basis(p: Weights) -> tuple[Vector, ...]:
     return rows
 
 
-def _gram_schmidt(rows, start: int = 0, stop: int | None = None, gs=None):
+def _gram_schmidt(rows, start: int, stop: int, gs=None):
     """Exact Gram-Schmidt data (mu, norm2, star) of rows start..stop-1 over
     Fractions; raises on linearly dependent rows.
 
     Row i's data depends only on rows 0..i, so with gs from an earlier call
-    on rows that agree above start, only rows start..stop-1 (stop defaults
-    to all of them) are computed, in place; the rows above keep their data.
+    on rows that agree above start, only rows start..stop-1 are computed, in
+    place; the rows above keep their data.
     """
     m = len(rows)
-    if stop is None:
-        stop = m
     if gs is None:
         gs = [[Fraction(0)] * m for _ in range(m)], [None] * m, [None] * m
     mu, norm2, star = gs
@@ -239,8 +237,10 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     """LLL reduction with exact rational Gram-Schmidt (no floating point).
 
     Returns rows spanning the same lattice, size-reduced and satisfying the
-    Lovasz condition with delta = LLL_DELTA.  Correctness of callers never
-    depends on this step; it only shrinks entries.
+    Lovasz condition with delta = LLL_DELTA; raises on linearly dependent
+    rows.  Correctness of callers never depends on this step; it only
+    shrinks entries.  Rows that are already reduced come back unchanged:
+    every |mu| <= 1/2 rounds to 0 and every Lovasz test passes.
 
     The Gram-Schmidt data is computed only for the rows the loop has
     reached, rows 0..k_max (Cohen 1993, Alg. 2.6.3): row k's data is first

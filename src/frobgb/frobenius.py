@@ -17,8 +17,9 @@ lattice_groebner certifies it (GroebnerBasis._staircase).
 Solution is the one pipeline, computed lazily and timed per phase;
 frobenius_number and the frob command both read from it.  Its one route
 builds the basis from the LLL-reduced kernel rows, in the degree-first order
-with x_1 cheapest (order.OrderConfig); unreduced rows give the same basis
-but can saturate seconds slower where reduced rows take milliseconds.
+with x_1 cheapest (order.OrderConfig).  lattice_groebner LLL-reduces
+whatever rows it gets, so unreduced rows give the same basis, and on the
+rows Solution has reduced that pass changes nothing.
 """
 
 from __future__ import annotations

@@ -60,35 +60,33 @@ variables are ordered by decreasing max |r_i| * p_i over the rows r, the
 largest degree x_i reaches in a row; on LLL rows this is close to
 decreasing weight.  The choice weighs little as measured: on the LLL rows
 of (92363017, 2, 18956779, 58102191, 70656069) the first two runs take
-11 ms with x_2 cheapest first and 7 ms with x_5; on the unreduced kernel
-rows of 100 random 4-digit inputs (n = 4..6, 3 s limit), 9 ran past the
-limit with this first variable, 8 with the heaviest and 9 with x_2.
+11 ms with x_2 cheapest first and 7 ms with x_5.
 
-lattice_groebner runs the first variable of this order and then the
+lattice_groebner LLL-reduces the rows it is given, so every run starts
+from reduced rows; it runs the first variable of this order and then the
 requested cheapest variable rv, so the second run is in the target order,
 and counts.  When the count is not p_rv it saturates the rest of the order
 but its second variable, then runs rv again: n runs in all for n >= 4.
 For n <= 3 the two runs already saturate all variables but one, so no
 third run is needed, but validate_basis still takes the count.  On LLL rows
 of 160 seeded random inputs (n = 3..6, 2 to 8 digits, half with one weight
-<= 30, x_1 cheapest) none ran past a 3 s limit.  On their unreduced kernel
-rows 4 did with these runs, 4 with every pass and 3 without the first.
-All 21 fstar-n56 benchmark instances and all 40 cli-small instances take
-two runs.
+<= 30, x_1 cheapest) none ran past a 3 s limit.  All 21 fstar-n56
+benchmark instances and all 40 cli-small instances take two runs.
 
 Each Buchberger run prunes its S-pairs with the Gebauer-Moeller update
 (criteria M and F and the product criterion, see _buchberger) and drops
 elements whose head a newer head divides.  Input binomials and S-pairs
-enter a run by one route: they wait in one queue in ascending term order,
-and each is only top-reduced, so the larger side is divided until the two
-sides meet or that side is irreducible, and a nonzero remainder is made
-primitive and inserted.  Every head in a run is then irreducible by the
-others, and the run returns the reduced basis once its tails are reduced,
-at the end.  Division looks reducers up by the support bitmask of their
-heads, so a head that uses a variable the monomial lacks is passed over
-without scanning exponents, and the other heads are scanned over their
-nonzero entries only.  validate_basis takes the same Apery count, so a
-basis it accepts generates I_L, as normal_form assumes.
+enter a run by one route, the inputs first, in the order given, then the
+S-pairs from one queue in ascending term order.  Each is only top-reduced,
+so the larger side is divided until the two sides meet or that side is
+irreducible, and a nonzero remainder is made primitive and inserted.
+Every head in a run is then irreducible by the others, and the run returns
+the reduced basis once its tails are reduced, at the end.  Division looks
+reducers up by the support bitmask of their heads, so a head that uses a
+variable the monomial lacks is passed over without scanning exponents, and
+the other heads are scanned over their nonzero entries only.
+validate_basis takes the same Apery count, so a basis it accepts generates
+I_L, as normal_form assumes.
 """
 
 from __future__ import annotations
@@ -103,14 +101,14 @@ from .arith import (
     Vector,
     Weights,
     _check_dim,
-    _gram_schmidt,
     as_weights,
     decimal_str,
+    lll_reduce,
     negative_part,
     pdegree,
     positive_part,
 )
-from .monideal import _check_head_shape, _divides, staircase
+from .monideal import _divides, staircase
 from .order import GT, LT, OrderConfig, compare
 
 __all__ = [
@@ -272,16 +270,13 @@ def _buchberger(gens, cfg: OrderConfig):
     top-reduced, so the zero reductions it saves are cheap, and scanning
     the whole queue on every insertion cost about as much as they do.
 
-    The inputs wait in the pair queue, each keyed by its larger side, so
-    inputs and S-pairs enter in one ascending term order (ties by the
-    indices, inputs first), with an S-pair's key the lcm of its heads.  The
-    order is degree-first and the binomials are homogeneous, so a binomial
-    enters only after every input and S-pair of lower degree has, and the
-    basis it is reduced by is already a Groebner basis in those degrees.
-    Entering every input first, in the order given, gave the same bases but
-    stalled on more unreduced kernel rows (12 of the 160 inputs of the
-    module docstring against 4).  At the end every tail is reduced to its
-    normal form by the basis, which gives the reduced basis.
+    The inputs enter first, in the order given: LLL-reduced rows or the
+    basis of the previous run (lattice_groebner).  The S-pairs then wait in
+    the pair queue in ascending term order of the lcm of their heads (ties
+    by the indices).  The order is degree-first and the binomials are
+    homogeneous, so an S-pair enters only after every S-pair of lower
+    degree has.  At the end every tail is reduced to its normal form by the
+    basis, which gives the reduced basis.
     """
     key = cfg.sort_key
     p = cfg.weights.entries
@@ -289,8 +284,8 @@ def _buchberger(gens, cfg: OrderConfig):
     tails: list[Vector] = []
     active: list[int] = []  # indices of the current basis
     reducers: list = []  # their reducer data, in the same order
-    # (key(lcm), i, j, lcm) for the pair (i, j), (key, -1, j, None) for
-    # input j; (i, j) is unique, so no lcm is compared
+    # (key(lcm), i, j, lcm) for the pair (i, j); (i, j) is unique, so no
+    # lcm is compared
     heap: list = []
 
     def insert(h: Vector, t: Vector) -> None:
@@ -345,14 +340,10 @@ def _buchberger(gens, cfg: OrderConfig):
                 return
             u, ku = r, key(r)
 
-    inputs = [_strip(u, v) for u, v in gens]
-    for j, (u, v) in enumerate(inputs):
-        heappush(heap, (max(key(u), key(v)), -1, j, None))
+    for u, v in gens:
+        enter(*_strip(u, v))
     while heap:
         _, i, j, lcm = heappop(heap)
-        if i < 0:
-            enter(*inputs[j])
-            continue
         enter(
             tuple(l - a + b for l, a, b in zip(lcm, heads[i], tails[i])),
             tuple(l - a + b for l, a, b in zip(lcm, heads[j], tails[j])),
@@ -374,16 +365,19 @@ def lattice_groebner(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the saturated kernel lattice ideal.
 
-    p is a Weights or any iterable of the weights.  basis_rows must be n-1
-    linearly independent rows spanning the kernel lattice of p (weighted
-    degree 0 each).  Two Buchberger runs come first:
-    one with the variable of largest row degree cheapest, then one in the
-    target order, with rv = cfg.revlex_variable cheapest.  Their ideal J is
-    inside I_L, and J = I_L exactly when the rv-free monomials outside the
-    head ideal number p_rv (the Apery count).  When the count differs, the
-    other variables but the second of the row-degree order are saturated
-    and rv runs again, which already gives I_L.  The module docstring has
-    the proofs of both steps.
+    p is a Weights or any iterable of the weights.  basis_rows may be any
+    basis of the kernel lattice of p: n-1 linearly independent rows of
+    weighted degree 0 each.  They are LLL-reduced first (arith.lll_reduce,
+    which raises on dependent rows and returns reduced rows unchanged), so
+    unreduced rows give the same basis at the cost of one reduction.  Two
+    Buchberger runs come first, on the reduced rows: one with the variable
+    of largest row degree cheapest, then one in the target order, with
+    rv = cfg.revlex_variable cheapest.  Their ideal J is inside I_L, and
+    J = I_L exactly when the rv-free monomials outside the head ideal
+    number p_rv (the Apery count).  When the count differs, the other
+    variables but the second of the row-degree order are saturated and rv
+    runs again, which already gives I_L.  The module docstring has the
+    proofs of both steps.
     """
     p = as_weights(p)
     if cfg.weights != p:
@@ -395,7 +389,7 @@ def lattice_groebner(
     for r in rows:
         if pdegree(r, p) != 0:
             raise ValueError(f"basis row {r} is not homogeneous: degree {pdegree(r, p)}")
-    _gram_schmidt(rows)  # raises on linearly dependent rows
+    rows = lll_reduce(rows)  # raises on linearly dependent rows
 
     rv = cfg.revlex_variable
     passes = sorted(
@@ -417,12 +411,18 @@ def validate_basis(G: GroebnerBasis) -> None:
     """Check the structural invariants of a reduced kernel-ideal basis.
 
     Raises ValueError on: inhomogeneous or misoriented elements, overlapping
-    supports, a head dividing another head or any tail, a head divisible by
-    the distinguished variable, missing pure-power heads x_i^e with
-    e <= p_rv for every other variable, or elements out of ascending order.
-    Last, it takes the Apery count: the x_rv-free monomials outside the
-    head ideal must number p_rv, or the elements generate a proper
-    sub-ideal of I_L, on which normal_form's fold is wrong.
+    supports, elements out of ascending order, or a head dividing another
+    head or any tail.  Last, it takes the Apery count: the x_rv-free
+    monomials outside the head ideal must number p_rv, or the elements
+    generate a proper sub-ideal of I_L, on which normal_form's fold is
+    wrong.
+
+    Two shapes of the heads follow from these checks.  No head uses x_rv:
+    at equal degree a monomial that uses x_rv sorts below an x_rv-free one,
+    so such a head is either below its tail or shares x_rv with it.  And
+    every other variable x_i has a pure power x_i^e with e <= p_rv among the
+    heads: the powers of x_i below its least pure-power head are all
+    standard, so a count of p_rv needs one, of exponent at most p_rv.
     """
     cfg = G.order
     p = cfg.weights
@@ -453,13 +453,13 @@ def validate_basis(G: GroebnerBasis) -> None:
                 raise ValueError(f"head {heads[i]} divides head {g.head}")
             if not mask & ~tail_masks[j] and _multiplicity(g.tail, support):
                 raise ValueError(f"head {heads[i]} divides tail {g.tail}")
-    _check_head_shape(heads, n, rv, p.entries[rv])
     count = G._staircase[0]
     if count != p.entries[rv]:
+        left = "infinitely many" if count is None else decimal_str(count)
         raise ValueError(
-            f"the heads leave {decimal_str(count)} standard monomials free of"
-            f" x{rv + 1}, not p_{rv + 1} = {decimal_str(p.entries[rv])}: the"
-            " elements generate a proper sub-ideal of the lattice ideal"
+            f"the heads leave {left} standard monomials free of x{rv + 1}, not"
+            f" p_{rv + 1} = {decimal_str(p.entries[rv])}: the elements generate"
+            " a proper sub-ideal of the lattice ideal"
         )
 
 

@@ -178,42 +178,27 @@ def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
     return MonomialIdeal.from_generators(I.n, lcms)
 
 
-def _pure_power(g: Vector, i: int) -> int | None:
-    """g_i when x^g is a pure power of variable i, else None."""
-    return g[i] if g[i] and not any(g[:i] + g[i + 1 :]) else None
-
-
-def _check_head_shape(heads, n: int, cheap: int = 0, bound: int | None = None) -> None:
-    """The shape of the head ideal of a kernel lattice basis: no head uses
-    the cheapest variable (index cheap), and every other variable has a pure
-    power among the heads, of exponent at most bound when one is given."""
-    for h in heads:
-        if h[cheap]:
-            raise ValueError(f"head {h} is divisible by the cheapest variable")
-    for i in range(n):
-        powers = [e for h in heads if (e := _pure_power(h, i))]
-        if i != cheap and (not powers or (bound is not None and min(powers) > bound)):
-            at_most = "" if bound is None else f" at most {bound}"
-            raise ValueError(
-                f"ideal is not artinian after projecting out the cheapest variable:"
-                f" no pure power of variable {i + 1}{at_most}"
-            )
-
-
 def irreducible_decomposition(I: MonomialIdeal, p: Weights) -> frozenset[Vector]:
     """Irredundant irreducible decomposition of a head-shaped ideal.
 
     Components v have v_1 = 0, and v is a component exactly when the
     shifted monomial m with m_1 = 0, m_i = v_i - 1 is outside I while every
     m + e_j, j >= 2, lies inside: the maximal standard monomials of the
-    x_1-free projection of I, which staircase returns.
+    x_1-free projection of I, which staircase returns.  Raises ValueError
+    when a generator uses x_1, or when the projection is not artinian (some
+    x_i, i >= 2, has no pure power, and staircase counts infinitely many
+    standard monomials).
     """
     if I.n != p.n:
         raise ValueError("ideal and weights have different dimensions")
     if I.is_unit:
         raise ValueError("the unit ideal has no irreducible decomposition")
-    _check_head_shape(I.generators, I.n)
-    _, tops = staircase(I.n - 1, (g[1:] for g in I.generators))
+    for g in I.generators:
+        if g[0]:
+            raise ValueError(f"generator {g} is divisible by the cheapest variable")
+    count, tops = staircase(I.n - 1, (g[1:] for g in I.generators))
+    if count is None:
+        raise ValueError("ideal is not artinian after projecting out the cheapest variable")
     return frozenset((0,) + tuple(x + 1 for x in m) for m in tops)
 
 

@@ -222,8 +222,9 @@ def test_timing_output():
 
 def test_one_route_to_the_basis():
     # saturating the unreduced kernel rows of these weights runs for more
-    # than 90 s, and their LLL rows take milliseconds: every entry point
-    # reduces the rows first, so a command that skipped that would time out
+    # than 90 s, and their LLL rows take milliseconds: the one route to the
+    # basis, lattice_groebner, reduces the rows it gets, so no command can
+    # skip that
     weights = ["281125", "702870", "582731", "139062", "106386"]
     start = time.perf_counter()
     outs = []
