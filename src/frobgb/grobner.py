@@ -81,12 +81,20 @@ S-pairs from one queue in ascending term order.  Each is only top-reduced,
 so the larger side is divided until the two sides meet or that side is
 irreducible, and a nonzero remainder is made primitive and inserted.
 Every head in a run is then irreducible by the others, and the run returns
-the reduced basis once its tails are reduced, at the end.  Division looks
+the reduced basis once its tails are reduced, at the end.  A run works in
+coordinates permuted into its order's revlex scan, where two monomials of
+one degree compare as plain tuples, so no sort key is built in its loops;
+the basis is permuted back on return.  The pair update holds every active
+head also as one packed integer, one field per exponent under a guard
+bit, and one subtraction and one mask per active head give the colon by
+the new head, coprimality and both divisibility tests.  Division looks
 reducers up by the support bitmask of their heads, so a head that uses a
 variable the monomial lacks is passed over without scanning exponents, and
 the other heads are scanned over their nonzero entries only.
-validate_basis takes the same Apery count, so a basis it accepts generates
-I_L, as normal_form assumes.
+validate_basis, normal_form and reduce_binomial divide on plain tuples, so
+the certificate does not lean on the packing.  validate_basis takes the
+same Apery count, so a basis it accepts generates I_L, as normal_form
+assumes.
 """
 
 from __future__ import annotations
@@ -95,7 +103,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import add, mul, sub
+from operator import add, mul, neg
 
 from .arith import (
     Vector,
@@ -108,8 +116,8 @@ from .arith import (
     pdegree,
     positive_part,
 )
-from .monideal import _divides, staircase
-from .order import GT, LT, OrderConfig, compare
+from .monideal import staircase
+from .order import GT, LT, OrderConfig, _scan_order, compare
 
 __all__ = [
     "Binomial",
@@ -239,6 +247,31 @@ def _nf_monomial(m: Vector, reducers) -> Vector:
     return m
 
 
+def _pack(v: Vector, width: int) -> int:
+    """v as one integer: entry j, which must be below 2**width, in the
+    (width + 1)-bit field j, whose top bit, the guard, is left 0."""
+    x = 0
+    for e in reversed(v):
+        x = x << width + 1 | e
+    return x
+
+
+def _colon(a: int, b: int, width: int, guards: int) -> tuple[int, int]:
+    """For monomials a and b packed at width, with guards the guard bit of
+    every field: the packed excess (a - b)^+, the exponent of x^a : x^b, and
+    the guards of the fields where a_j >= b_j.
+
+    Setting the guards of a and subtracting b leaves a_j - b_j + 2**width
+    in field j.  That lies in [1, 2**(width + 1)), so no field borrows from
+    the next, and the guard stays set exactly when a_j >= b_j, when the
+    field's low bits are a_j - b_j.  So b divides a exactly when every
+    guard stays set, and a and b are coprime exactly when the excess is a.
+    """
+    d = (a | guards) - b
+    above = d & guards
+    return d & (above - (above >> width)), above
+
+
 def _buchberger(gens, cfg: OrderConfig):
     """Reduced Groebner basis of the binomials gens, sorted by head.
 
@@ -255,6 +288,11 @@ def _buchberger(gens, cfg: OrderConfig):
     x_i cheapest is what saturates x_i, while a multiple of a binomial can
     reduce to zero where the binomial does not.
 
+    The run works in permuted coordinates: the order's revlex scan
+    (order._scan_order) comes first, so two monomials of one degree compare
+    as plain tuples, the larger monomial being the smaller tuple, and both
+    sides of a binomial have one degree.  The result is permuted back.
+
     Every insertion of an element k runs the Gebauer-Moeller update on the
     new pairs only:
 
@@ -266,6 +304,16 @@ def _buchberger(gens, cfg: OrderConfig):
     - older elements whose head is divisible by head k leave the basis:
       they stop reducing and forming pairs, while their queued pairs stay.
 
+    The update runs on packed heads (_pack): every active head is also held
+    as one integer, at a field width that fits every exponent so far, and
+    the active heads are repacked when a wider head arrives.  One _colon of
+    each active head by the new head h gives the excess q_i of head i over
+    h, so lcm(i, k) = h + q_i, and tells whether the heads are coprime and
+    whether h divides head i.  lcm(j, k) divides lcm(i, k) exactly when
+    q_j divides q_i, again one subtraction and one mask.  The q_i are sorted
+    as integers, which orders every strict divisor first and keeps equal
+    lcms adjacent, ties by index.  Division steps keep the tuples.
+
     Criterion B, which drops queued pairs, is left out: an S-pair is only
     top-reduced, so the zero reductions it saves are cheap, and scanning
     the whole queue on every insertion cost about as much as they do.
@@ -273,83 +321,93 @@ def _buchberger(gens, cfg: OrderConfig):
     The inputs enter first, in the order given: LLL-reduced rows or the
     basis of the previous run (lattice_groebner).  The S-pairs then wait in
     the pair queue in ascending term order of the lcm of their heads (ties
-    by the indices).  The order is degree-first and the binomials are
-    homogeneous, so an S-pair enters only after every S-pair of lower
-    degree has.  At the end every tail is reduced to its normal form by the
-    basis, which gives the reduced basis.
+    by the indices), as (degree, negated lcm, i, k, lcm).  The order is
+    degree-first and the binomials are homogeneous, so an S-pair enters
+    only after every S-pair of lower degree has.  At the end every tail is
+    reduced to its normal form by the basis, which gives the reduced basis.
     """
-    key = cfg.sort_key
-    p = cfg.weights.entries
+    scan = _scan_order(cfg.weights.n, cfg.revlex_variable)
+    p = [cfg.weights.entries[j] for j in scan]
+    n = len(p)
+
+    def key(m: Vector) -> tuple:
+        # cfg.sort_key in the permuted coordinates
+        return sum(map(mul, m, p)), tuple(map(neg, m))
+
     heads: list[Vector] = []
-    tails: list[Vector] = []
-    active: list[int] = []  # indices of the current basis
+    steps: list[Vector] = []  # tail - head of every element
+    active: list[tuple[int, int]] = []  # (index, packed head) of the current basis
     reducers: list = []  # their reducer data, in the same order
-    # (key(lcm), i, j, lcm) for the pair (i, j); (i, j) is unique, so no
-    # lcm is compared
+    width = guards = 0  # the packing of the active heads
+    # (degree, negated lcm, i, j, lcm) for the pair (i, j); (i, j) is
+    # unique, so no lcm is compared
     heap: list = []
 
     def insert(h: Vector, t: Vector) -> None:
+        nonlocal active, reducers, width, guards
         k = len(heads)
-        mk = _support(h)
+        top = max(h)
+        if top >> width:
+            width = top.bit_length()
+            guards = _pack((1 << width,) * n, width)
+            active = [(i, _pack(heads[i], width)) for i, _ in active]
+        ph = _pack(h, width)
 
-        # criterion M on the new pairs.  lcm(i, k) = h + q_i with q_i the
-        # excess of head i over h, so lcm(j, k) divides lcm(i, k) exactly
-        # when q_j <= q_i.  Sorted by degree, a strict divisor comes first
-        # and equal lcms are adjacent.
         new = []
-        for i, (mask, _, _) in zip(active, reducers):
-            q = tuple(map(sub, map(max, heads[i], h), h))
-            new.append((sum(map(mul, q, p)), q, i, _support(q), not mask & mk))
+        kept = []
+        for (i, pi), r in zip(active, reducers):
+            q, above = _colon(pi, ph, width, guards)
+            new.append((q, i, q == pi))
+            if above != guards:  # h does not divide head i, which stays
+                kept.append((i, pi, r))
         new.sort()
-        groups: list[list] = []  # one per lcm that survives M
-        for _, q, i, qmask, coprime in new:
+        # criterion M keeps the lcms with no strict divisor among the new
+        # ones; criterion F keeps the first pair of each lcm, and the
+        # product criterion drops the lcm when any of its pairs is coprime
+        groups: list[list] = []
+        for q, i, coprime in new:
             if groups and groups[-1][0] == q:
-                groups[-1][3] |= coprime
+                groups[-1][2] |= coprime
                 continue
+            qg = q | guards
             for g in groups:
-                if not g[2] & ~qmask and _divides(g[0], q):
+                if (qg - g[0]) & guards == guards:
                     break
             else:
-                groups.append([q, i, qmask, coprime])
-        # criterion F keeps the first pair of each lcm; the product criterion
-        # drops the lcm when any of its pairs is coprime
-        for q, i, _, coprime in groups:
+                groups.append([q, i, coprime])
+        for _, i, coprime in groups:
             if not coprime:
-                lcm = tuple(map(add, h, q))
-                heappush(heap, (key(lcm), i, k, lcm))
+                lcm = tuple(map(max, heads[i], h))
+                heappush(heap, (*key(lcm), i, k, lcm))
 
-        # older elements with a head divisible by h leave the basis
-        kept = [
-            (i, r)
-            for i, r in zip(active, reducers)
-            if mk & ~r[0] or not _divides(h, heads[i])
-        ]
-        active[:] = [i for i, _ in kept] + [k]
-        reducers[:] = [r for _, r in kept] + [_reducer(h, t)]
+        reducer = _reducer(h, t)
+        active = [(i, pi) for i, pi, _ in kept] + [(k, ph)]
+        reducers = [r for _, _, r in kept] + [reducer]
         heads.append(h)
-        tails.append(t)
+        steps.append(reducer[2])
 
     def enter(u: Vector, v: Vector) -> None:
-        ku, kv = key(u), key(v)
-        while ku != kv:
-            if ku < kv:
-                u, v, ku, kv = v, u, kv, ku
+        while u != v:
+            if u > v:  # the larger monomial is the smaller tuple
+                u, v = v, u
             r = _reduce_step(u, reducers)
             if r is None:
                 insert(*_strip(u, v))
                 return
-            u, ku = r, key(r)
+            u = r
 
     for u, v in gens:
-        enter(*_strip(u, v))
+        enter(*_strip(tuple(u[j] for j in scan), tuple(v[j] for j in scan)))
     while heap:
-        _, i, j, lcm = heappop(heap)
-        enter(
-            tuple(l - a + b for l, a, b in zip(lcm, heads[i], tails[i])),
-            tuple(l - a + b for l, a, b in zip(lcm, heads[j], tails[j])),
-        )
-    active.sort(key=lambda i: key(heads[i]))
-    return [(heads[i], _nf_monomial(tails[i], reducers)) for i in active]
+        _, _, i, j, lcm = heappop(heap)
+        enter(tuple(map(add, lcm, steps[i])), tuple(map(add, lcm, steps[j])))
+    back = [scan.index(j) for j in range(n)]
+    out = []
+    for i in sorted((i for i, _ in active), key=lambda i: key(heads[i])):
+        h = heads[i]
+        t = _nf_monomial(tuple(map(add, h, steps[i])), reducers)
+        out.append((tuple(h[j] for j in back), tuple(t[j] for j in back)))
+    return out
 
 
 def _saturate(cur, passes, cfg: OrderConfig):

@@ -82,12 +82,20 @@ def staircase(n: int, gens) -> tuple[int | None, frozenset[Vector]]:
             return 0, []
         if ideal in memo:
             return memo[ideal]
+        layers: dict[int, list[Vector]] = {0: []}
+        for g in ideal:
+            layers.setdefault(g[-1], []).append(g[:-1])
         total, tops = 0, []
         last, cut, inner, inner_tops = 0, frozenset(), 0, []
-        for c in sorted({g[-1] for g in ideal} | {0}):
+        for c in sorted(layers):
             total += (c - last) * inner
-            prev, cut = cut, minimalize(cut | {g[:-1] for g in ideal if g[-1] == c})
-            new = cut - prev
+            # the generators of one last exponent are an antichain, so the
+            # slice stays minimal if each enters unless a kept one divides
+            # it, and removes the kept ones it divides
+            new = [g for g in layers[c] if not any(_divides(m, g) for m in cut)]
+            cut = frozenset(
+                [m for m in cut if not any(_divides(g, m) for g in new)] + new
+            )
             tops += [m + (c - 1,) for m in inner_tops if any(_divides(g, m) for g in new)]
             inner, inner_tops = walk(k - 1, cut)
             if inner is None:

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import random
 import time
+from math import gcd
 
 import pytest
 
@@ -267,3 +268,25 @@ def test_frobenius_boundary_is_sharp():
         assert not is_representable(p, fstar, G).representable
         for k in range(1, 2 * min(entries) + 1):
             assert is_representable(p, fstar + k, G).representable
+
+
+def test_thousand_digit_weights():
+    # the scale of the paper's title.  Two weights: Sylvester's
+    # f* = ab - a - b.  The arithmetic sequences a, a + d, ..., a + s*d with
+    # gcd(a, d) = 1: Roberts' f* = (floor((a - 2) / s) + 1) * a
+    # + (d - 1) * (a - 1) - 1.  With four terms the heads carry exponents of
+    # about 3,300 bits.
+    rng = random.Random(SEED + 3)
+
+    def coprime_pair():
+        while True:
+            a, d = (rng.randint(10**999, 10**1000 - 1) for _ in range(2))
+            if gcd(a, d) == 1:
+                return a, d
+
+    a, b = coprime_pair()
+    assert frobenius_number((a, b)) == a * b - a - b
+    a, d = coprime_pair()
+    for s in (2, 3):
+        p = tuple(a + j * d for j in range(s + 1))
+        assert frobenius_number(p) == ((a - 2) // s + 1) * a + (d - 1) * (a - 1) - 1, s

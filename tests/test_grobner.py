@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from operator import sub
 
 import pytest
 
@@ -36,6 +37,7 @@ from frobgb import (
     validate_basis,
 )
 from frobgb.arith import negative_part, positive_part
+from frobgb.monideal import _divides
 from frobgb.order import EQ, LT
 
 from helpers import (
@@ -399,6 +401,93 @@ def test_seven_weights_match_the_all_pairs_reference(entries):
     expected = reference_groebner(sol.reduced_rows, sol.basis.order)
     assert [(g.head, g.tail) for g in sol.basis.elements] == expected
     assert sol.frobenius == apery_frobenius(entries)
+
+
+def test_packed_heads_agree_with_tuples():
+    # the pair update's packed arithmetic against the tuple operations it
+    # replaces, for every new head h among random vectors of up to 3,200
+    # bits: the excesses (a - h)^+ of the other heads, coprimality, whether
+    # h divides a, and criterion M's test of one excess dividing another,
+    # which the integer order of the packed excesses must refine.  Then a
+    # wider head arrives and everything is repacked.
+    rng = random.Random(SEED + 9)
+
+    def check(vecs, width):
+        n = len(vecs[0])
+        guards = grobner._pack((1 << width,) * n, width)
+        packed = {v: grobner._pack(v, width) for v in vecs}
+        for h in vecs:
+            excesses = {}
+            for a in vecs:
+                q, above = grobner._colon(packed[a], packed[h], width, guards)
+                excess = tuple(map(sub, map(max, a, h), h))
+                assert q == grobner._pack(excess, width), (a, h)
+                assert (above == guards) == _divides(h, a), (a, h)
+                coprime = not grobner._support(a) & grobner._support(h)
+                assert (q == packed[a]) == coprime, (a, h)
+                excesses[excess] = q
+            for x, qx in excesses.items():
+                for y, qy in excesses.items():
+                    divides = ((qy | guards) - qx) & guards == guards
+                    assert divides == _divides(x, y), (x, y)
+                    assert qx <= qy or not divides, (x, y)
+
+    for bits in (1, 2, 5, 17, 64, 3200):
+        for n in (1, 2, 5, 8):
+            vecs = [tuple(rng.getrandbits(rng.randint(0, bits)) * rng.randint(0, 1)
+                          for _ in range(n)) for _ in range(10)]
+            vecs.append(tuple(map(max, vecs[0], vecs[1])))  # a multiple of both
+            width = max(max(v) for v in vecs).bit_length()
+            check(vecs, width)
+            head = tuple(x | rng.randint(0, 1) << width + rng.randint(0, 40)
+                         for x in vecs[2])
+            head = (head[0] | 1 << width,) + head[1:]  # wider than the packing
+            check(vecs + [head], max(head).bit_length())
+
+
+@pytest.mark.parametrize("entries", [(3, 1000, 1001), (23, 29, 31, 37)])
+def test_a_wider_head_repacks_mid_run(monkeypatch, entries):
+    # a head wider than the packing arrives after the first, so the active
+    # heads are repacked in the middle of a run; every order's basis is
+    # still the reference's
+    runs = []
+    pack, buchberger = grobner._pack, grobner._buchberger
+
+    def recording_pack(v, width):
+        runs[-1].add(width)
+        return pack(v, width)
+
+    def recording_buchberger(gens, cfg):
+        runs.append(set())
+        return buchberger(gens, cfg)
+
+    monkeypatch.setattr(grobner, "_pack", recording_pack)
+    monkeypatch.setattr(grobner, "_buchberger", recording_buchberger)
+    p = Weights(entries)
+    rows = lll_reduce(kernel_basis(p))
+    for rv in range(1, p.n + 1):
+        cfg = OrderConfig(p, revlex_variable=rv)
+        G = lattice_groebner(p, rows, cfg)
+        assert [(g.head, g.tail) for g in G.elements] == reference_groebner(rows, cfg)
+    assert any(len(widths) > 1 for widths in runs)
+
+
+def test_benchmark_ladders_queue_the_same_pairs(monkeypatch):
+    # the pair criteria pin the queue: the S-pairs queued on the path
+    # frobenius_number takes, summed over each benchmark ladder
+    pushed = []
+    push = grobner.heappush
+
+    def counting(heap, item):
+        pushed.append(item)
+        push(heap, item)
+
+    monkeypatch.setattr(grobner, "heappush", counting)
+    for name, count in (("fstar-n56", 4999), ("cli-small", 962)):
+        pushed.clear()
+        for entries in benchmark_ladders()[name]:
+            Solution(entries).basis
+        assert len(pushed) == count, name
 
 
 @pytest.fixture
