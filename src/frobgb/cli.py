@@ -10,9 +10,10 @@
 Weights come either as arguments or from a file (--file, whitespace-separated
 tokens, # starts a comment), never both.  --json switches to a
 machine-readable report with big integers as decimal strings; --time writes
-per-phase wall times to standard error.  Options are spelled out in full;
-abbreviations are rejected.  Exit codes: 0 on success, 1 when a test
-verdict is "no", 2 on invalid input.
+the wall times of the basis, groebner and extraction phases, and the total,
+to standard error.  Options are spelled out in full; abbreviations are
+rejected.  Exit codes: 0 on success, 1 when a test verdict is "no", 2 on
+invalid input.
 
 Each subcommand builds one frobenius.Solution and formats what it reads
 from it; the phase times come from the Solution's timings.  The argument

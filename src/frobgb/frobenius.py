@@ -16,10 +16,10 @@ lattice_groebner certifies it (GroebnerBasis._staircase).
 
 Solution is the one pipeline, computed lazily and timed per phase;
 frobenius_number and the frob command both read from it.  Its one route
-builds the basis from the LLL-reduced kernel rows, in the degree-first order
-with x_1 cheapest (order.OrderConfig).  lattice_groebner LLL-reduces
-whatever rows it gets, so unreduced rows give the same basis, and on the
-rows Solution has reduced that pass changes nothing.
+hands the kernel rows to lattice_groebner, in the degree-first order with
+x_1 cheapest (order.OrderConfig); lattice_groebner LLL-reduces them, the
+one reduction on the way from weights to basis, so LLL time counts under
+the groebner phase.
 """
 
 from __future__ import annotations
@@ -34,7 +34,6 @@ from .arith import (
     Weights,
     as_weights,
     kernel_basis,
-    lll_reduce,
     pdegree,
     solve_degree,
 )
@@ -82,7 +81,7 @@ def is_representable(
     return RepresentabilityResult(True, c)
 
 
-PHASES = ("basis", "reduction", "groebner", "extraction")
+PHASES = ("basis", "groebner", "extraction")
 
 
 class Solution:
@@ -90,6 +89,9 @@ class Solution:
 
     timings holds the wall time per phase; timed() adds one call's time to a
     phase.  Timed calls never nest, so the phases sum to at most the total.
+    kernel_rows is the basis phase; basis is the groebner phase, which is
+    lattice_groebner's LLL reduction of those rows, its Buchberger runs and
+    the staircase walk that certifies them.
     """
 
     def __init__(self, p: Weights | Iterable[int]) -> None:
@@ -108,13 +110,9 @@ class Solution:
         return self.timed("basis", kernel_basis, self.weights)
 
     @cached_property
-    def reduced_rows(self) -> tuple[Vector, ...]:
-        return self.timed("reduction", lll_reduce, self.kernel_rows)
-
-    @cached_property
     def basis(self) -> GroebnerBasis:
         cfg = OrderConfig(self.weights)
-        return self.timed("groebner", lattice_groebner, self.weights, self.reduced_rows, cfg)
+        return self.timed("groebner", lattice_groebner, self.weights, self.kernel_rows, cfg)
 
     @cached_property
     def ideal(self) -> MonomialIdeal:

@@ -427,9 +427,10 @@ def lattice_groebner(
     basis of the kernel lattice of p: n-1 linearly independent rows of
     weighted degree 0 each.  They are LLL-reduced first (arith.lll_reduce,
     which raises on dependent rows and returns reduced rows unchanged), so
-    unreduced rows give the same basis at the cost of one reduction.  Two
-    Buchberger runs come first, on the reduced rows: one with the variable
-    of largest row degree cheapest, then one in the target order, with
+    unreduced rows give the same basis.  Solution passes the kernel rows as
+    they are, so this is the one reduction per basis.  Two Buchberger runs
+    come first, on the reduced rows: one with the variable of largest row
+    degree cheapest, then one in the target order, with
     rv = cfg.revlex_variable cheapest.  Their ideal J is inside I_L, and
     J = I_L exactly when the rv-free monomials outside the head ideal
     number p_rv (the Apery count).  When the count differs, the other

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import sys
 import time
 from math import gcd
 
@@ -25,10 +26,11 @@ from frobgb import (
     is_representable,
     kernel_basis,
     lattice_groebner,
+    lll_reduce,
     pdegree,
 )
 
-from helpers import dot, random_weights
+from helpers import benchmark_ladders, dot, random_weights
 from test_cli import invoke
 from test_grobner import make_gb
 
@@ -169,8 +171,9 @@ def test_cli_builds_the_basis_once(monkeypatch):
 
 def test_cli_phase_timers_never_nest(monkeypatch):
     # a stage counted under two phases, or twice under one, would push the
-    # phase sum past the total.  The staircase corners, and so f*, come out
-    # of the groebner phase; extraction is the normal form of test/hilbert.
+    # phase sum past the total.  The LLL reduction and the staircase
+    # corners, and so f*, come out of the groebner phase; extraction is the
+    # normal form of test/hilbert.
     def slowed(original):
         def slow(*args):
             time.sleep(0.05)
@@ -189,11 +192,30 @@ def test_cli_phase_timers_never_nest(monkeypatch):
         code, out, _ = invoke(*command, "--json", "6", "10", "15")
         assert code == 0
         elapsed = json.loads(out)["elapsed"]
-        phases = [elapsed[k] for k in ("basis", "reduction", "groebner", "extraction")]
+        phases = [elapsed[k] for k in ("basis", "groebner", "extraction")]
         assert sum(phases) <= elapsed["total"] + 1e-5, (command, elapsed)
         assert elapsed["groebner"] >= 0.05, (command, elapsed)
         if command[0] in ("test", "hilbert"):
             assert elapsed["extraction"] >= 0.05, (command, elapsed)
+
+
+def test_one_lll_reduction_per_basis(monkeypatch, pool):
+    # lattice_groebner is the one place on the route from weights to basis
+    # that reduces rows: Solution hands it the kernel rows as they are
+    calls = []
+
+    def counted(rows):
+        calls.append(tuple(rows))
+        return lll_reduce(rows)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("frobgb.") and getattr(module, "lll_reduce", None) is lll_reduce:
+            monkeypatch.setattr(module, "lll_reduce", counted)
+    for p in (pool[0].weights, benchmark_ladders()["fstar-n56"][0]):
+        calls.clear()
+        sol = Solution(p)
+        sol.basis
+        assert calls == [sol.kernel_rows], p
 
 
 def test_corner_vectors_are_maximal_gaps():
