@@ -53,6 +53,12 @@ class CoprimeViolation(ValueError):
     """The weight entries do not have greatest common divisor 1."""
 
 
+def _check_int(x, what: str) -> None:
+    """Raise ValueError unless x is an int; a bool is not one here."""
+    if not isinstance(x, int) or isinstance(x, bool):
+        raise ValueError(f"{what} {x!r} is not an integer")
+
+
 @dataclass(frozen=True)
 class Weights:
     """Positive integers (p_1, ..., p_n) with gcd 1, used as a grading.
@@ -69,8 +75,7 @@ class Weights:
         if not entries:
             raise ValueError("weights must be non-empty")
         for w in entries:
-            if not isinstance(w, int) or isinstance(w, bool):
-                raise ValueError(f"weight {w!r} is not an integer")
+            _check_int(w, "weight")
             if w <= 0:
                 raise ValueError(f"weight {decimal_str(w)} is not positive")
         g = 0
@@ -175,6 +180,7 @@ def solve_degree(p: Weights, t: int) -> Vector:
     the entries grow with t.  frobenius.is_representable divides this vector
     by the basis, and grobner.normal_form folds it back below p_1 first.
     """
+    _check_int(t, "t")
     if t < 0:
         raise ValueError("t must be >= 0")
     if p.n < 2:

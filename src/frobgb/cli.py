@@ -13,7 +13,8 @@ machine-readable report with big integers as decimal strings; --time writes
 the wall times of the basis, groebner and extraction phases, and the total,
 to standard error.  Options are spelled out in full; abbreviations are
 rejected.  Exit codes: 0 on success, 1 when a test verdict is "no", 2 on
-invalid input.
+invalid input, 141 (128 + SIGPIPE) when the reader of standard output goes
+away.
 
 Each subcommand builds one frobenius.Solution and formats what it reads
 from it; the phase times come from the Solution's timings.  The argument
@@ -28,6 +29,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import re
 import sys
 import time
@@ -204,4 +206,14 @@ def run(argv, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()  # a closed pipe shows here, inside the try
+    except BrokenPipeError:
+        # the reader went away: point stdout at the null device so the
+        # interpreter's last flush is silent, and exit as SIGPIPE would
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        code = 141
+    sys.exit(code)

@@ -32,12 +32,13 @@ from typing import NamedTuple, Optional
 from .arith import (
     Vector,
     Weights,
+    _check_int,
     as_weights,
     kernel_basis,
     pdegree,
     solve_degree,
 )
-from .grobner import GroebnerBasis, _check_cheapest_first, lattice_groebner, reduce_binomial
+from .grobner import GroebnerBasis, lattice_groebner, reduce_binomial
 from .monideal import MonomialIdeal, initial_ideal
 from .order import OrderConfig
 
@@ -59,7 +60,8 @@ def is_representable(
 ) -> RepresentabilityResult:
     """Decide whether t is a nonnegative integer combination of the weights.
 
-    Negative t is trivially not representable.  G must have x_1 cheapest.
+    t must be an int (not a bool); negative t is trivially not
+    representable.  G is in the order with x_1 cheapest, as every basis is.
     t is representable exactly when the remainder c of
     reduce_binomial(solve_degree(p, t), G) is >= 0; c is then the witness,
     the standard monomial of degree t, with c >= 0 and c.p = t.
@@ -67,7 +69,7 @@ def is_representable(
     p = as_weights(p)
     if G.weights != p:
         raise ValueError("basis was computed for different weights")
-    _check_cheapest_first(G, "is_representable")
+    _check_int(t, "t")
     if t < 0:
         return RepresentabilityResult(False, None)
     if p.n == 1:

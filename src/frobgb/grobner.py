@@ -62,11 +62,13 @@ decreasing weight.  The choice weighs little as measured: on the LLL rows
 of (92363017, 2, 18956779, 58102191, 70656069) the first two runs take
 11 ms with x_2 cheapest first and 7 ms with x_5.
 
-lattice_groebner LLL-reduces the rows it is given, so every run starts
-from reduced rows; it runs the first variable of this order and then the
-requested cheapest variable rv, so the second run is in the target order,
-and counts.  When the count is not p_rv it saturates the rest of the order
-but its second variable, then runs rv again: n runs in all for n >= 4.
+Every basis lattice_groebner returns is in the target order, the one
+with x_1 cheapest (order.OrderConfig), so the order of the passes above
+ranks x_2, ..., x_n only.  lattice_groebner LLL-reduces the rows it is
+given, so every run starts from reduced rows; it runs the first variable
+of this order and then x_1, so the second run is in the target order, and
+counts.  When the count is not p_1 it saturates the rest of the order but
+its second variable, then runs x_1 again: n runs in all for n >= 4.
 For n <= 3 the two runs already saturate all variables but one, so no
 third run is needed, but validate_basis still takes the count.  On LLL rows
 of 160 seeded random inputs (n = 3..6, 2 to 8 digits, half with one weight
@@ -169,12 +171,11 @@ class GroebnerBasis:
     @cached_property
     def _staircase(self) -> tuple[int | None, frozenset[Vector]]:
         """monideal.staircase of the heads without the coordinate of the
-        cheapest variable x_rv, walked once: the number of x_rv-free
-        monomials outside the head ideal, which is p_rv exactly when the
-        elements generate the lattice ideal I_L (see the module docstring),
-        and the maximal ones among them, the staircase corners."""
-        rv = self.order.revlex_variable
-        return staircase(self.weights.n - 1, (h[: rv - 1] + h[rv:] for h in self.heads()))
+        cheapest variable x_1, walked once: the number of x_1-free monomials
+        outside the head ideal, which is p_1 exactly when the elements
+        generate the lattice ideal I_L (see the module docstring), and the
+        maximal ones among them, the staircase corners."""
+        return staircase(self.weights.n - 1, (h[1:] for h in self.heads()))
 
 
 # -- internal monomial helpers (pairs of plain tuples, no validation) --------
@@ -272,8 +273,9 @@ def _colon(a: int, b: int, width: int, guards: int) -> tuple[int, int]:
     return d & (above - (above >> width)), above
 
 
-def _buchberger(gens, cfg: OrderConfig):
-    """Reduced Groebner basis of the binomials gens, sorted by head.
+def _buchberger(gens, weights: Weights, var: int):
+    """Reduced Groebner basis of the binomials gens in the degree-first order
+    of the weights with x_var cheapest, sorted by head.
 
     gens are the two sides of each binomial, in either order.  Every
     binomial enters by one route, enter: its larger side in the order takes
@@ -289,9 +291,10 @@ def _buchberger(gens, cfg: OrderConfig):
     reduce to zero where the binomial does not.
 
     The run works in permuted coordinates: the order's revlex scan
-    (order._scan_order) comes first, so two monomials of one degree compare
-    as plain tuples, the larger monomial being the smaller tuple, and both
-    sides of a binomial have one degree.  The result is permuted back.
+    (order._scan_order(n, var)) comes first, so two monomials of one degree
+    compare as plain tuples, the larger monomial being the smaller tuple,
+    and both sides of a binomial have one degree.  The result is permuted
+    back.
 
     Every insertion of an element k runs the Gebauer-Moeller update on the
     new pairs only:
@@ -326,12 +329,12 @@ def _buchberger(gens, cfg: OrderConfig):
     only after every S-pair of lower degree has.  At the end every tail is
     reduced to its normal form by the basis, which gives the reduced basis.
     """
-    scan = _scan_order(cfg.weights.n, cfg.revlex_variable)
-    p = [cfg.weights.entries[j] for j in scan]
+    scan = _scan_order(weights.n, var)
+    p = [weights.entries[j] for j in scan]
     n = len(p)
 
     def key(m: Vector) -> tuple:
-        # cfg.sort_key in the permuted coordinates
+        # OrderConfig.sort_key in the permuted coordinates
         return sum(map(mul, m, p)), tuple(map(neg, m))
 
     heads: list[Vector] = []
@@ -410,18 +413,19 @@ def _buchberger(gens, cfg: OrderConfig):
     return out
 
 
-def _saturate(cur, passes, cfg: OrderConfig):
+def _saturate(cur, passes, weights: Weights):
     """One Buchberger run per variable of passes, each in the order that
     makes that variable cheapest; returns the last run's reduced basis."""
     for var in passes:
-        cur = _buchberger(cur, cfg.with_revlex(var))
+        cur = _buchberger(cur, weights, var)
     return cur
 
 
 def lattice_groebner(
     p: Weights | Iterable[int], basis_rows, cfg: OrderConfig
 ) -> GroebnerBasis:
-    """Reduced Groebner basis of the saturated kernel lattice ideal.
+    """Reduced Groebner basis of the saturated kernel lattice ideal, in the
+    degree-first order with x_1 cheapest.
 
     p is a Weights or any iterable of the weights.  basis_rows may be any
     basis of the kernel lattice of p: n-1 linearly independent rows of
@@ -430,13 +434,12 @@ def lattice_groebner(
     unreduced rows give the same basis.  Solution passes the kernel rows as
     they are, so this is the one reduction per basis.  Two Buchberger runs
     come first, on the reduced rows: one with the variable of largest row
-    degree cheapest, then one in the target order, with
-    rv = cfg.revlex_variable cheapest.  Their ideal J is inside I_L, and
-    J = I_L exactly when the rv-free monomials outside the head ideal
-    number p_rv (the Apery count).  When the count differs, the other
-    variables but the second of the row-degree order are saturated and rv
-    runs again, which already gives I_L.  The module docstring has the
-    proofs of both steps.
+    degree among x_2, ..., x_n cheapest, then one in the target order,
+    with x_1 cheapest.  Their ideal J is inside I_L, and J = I_L exactly
+    when the x_1-free monomials outside the head ideal number p_1 (the
+    Apery count).  When the count differs, the other variables but the
+    second of the row-degree order are saturated and x_1 runs again, which
+    already gives I_L.  The module docstring has the proofs of both steps.
     """
     p = as_weights(p)
     if cfg.weights != p:
@@ -450,17 +453,16 @@ def lattice_groebner(
             raise ValueError(f"basis row {r} is not homogeneous: degree {pdegree(r, p)}")
     rows = lll_reduce(rows)  # raises on linearly dependent rows
 
-    rv = cfg.revlex_variable
     passes = sorted(
-        (v for v in range(1, n + 1) if v != rv),
+        range(2, n + 1),
         key=lambda v: -p.entries[v - 1] * max(abs(r[v - 1]) for r in rows),
     )
     cur = [(positive_part(r), negative_part(r)) for r in rows]
-    cur = _saturate(cur, passes[:1] + [rv], cfg)
+    cur = _saturate(cur, passes[:1] + [1], p)
     basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
     rest = passes[2:]  # the second variable is never saturated
-    if rest and basis._staircase[0] != p.entries[rv - 1]:
-        cur = _saturate(cur, rest + [rv], cfg)
+    if rest and basis._staircase[0] != p.entries[0]:
+        cur = _saturate(cur, rest + [1], p)
         basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
     validate_basis(basis)  # on the certified path it reads the count taken above
     return basis
@@ -471,22 +473,22 @@ def validate_basis(G: GroebnerBasis) -> None:
 
     Raises ValueError on: inhomogeneous or misoriented elements, overlapping
     supports, elements out of ascending order, or a head dividing another
-    head or any tail.  Last, it takes the Apery count: the x_rv-free
-    monomials outside the head ideal must number p_rv, or the elements
+    head or any tail.  Last, it takes the Apery count: the x_1-free
+    monomials outside the head ideal must number p_1, or the elements
     generate a proper sub-ideal of I_L, on which normal_form's fold is
     wrong.
 
-    Two shapes of the heads follow from these checks.  No head uses x_rv:
-    at equal degree a monomial that uses x_rv sorts below an x_rv-free one,
-    so such a head is either below its tail or shares x_rv with it.  And
-    every other variable x_i has a pure power x_i^e with e <= p_rv among the
-    heads: the powers of x_i below its least pure-power head are all
-    standard, so a count of p_rv needs one, of exponent at most p_rv.
+    Two shapes of the heads follow from these checks.  No head uses x_1,
+    the cheapest variable: at equal degree a monomial that uses x_1 sorts
+    below an x_1-free one, so such a head is either below its tail or
+    shares x_1 with it.  And every other variable x_i has a pure power
+    x_i^e with e <= p_1 among the heads: the powers of x_i below its least
+    pure-power head are all standard, so a count of p_1 needs one, of
+    exponent at most p_1.
     """
     cfg = G.order
     p = cfg.weights
     n = p.n
-    rv = cfg.revlex_variable - 1
     key = cfg.sort_key
     prev_key = None
     for g in G.elements:
@@ -513,57 +515,48 @@ def validate_basis(G: GroebnerBasis) -> None:
             if not mask & ~tail_masks[j] and _multiplicity(g.tail, support):
                 raise ValueError(f"head {heads[i]} divides tail {g.tail}")
     count = G._staircase[0]
-    if count != p.entries[rv]:
+    if count != p.entries[0]:
         left = "infinitely many" if count is None else decimal_str(count)
         raise ValueError(
-            f"the heads leave {left} standard monomials free of x{rv + 1}, not"
-            f" p_{rv + 1} = {decimal_str(p.entries[rv])}: the elements generate"
+            f"the heads leave {left} standard monomials free of x1, not"
+            f" p_1 = {decimal_str(p.entries[0])}: the elements generate"
             " a proper sub-ideal of the lattice ideal"
         )
 
 
 def normal_form(m: Vector, G: GroebnerBasis) -> Vector:
     """Normal form of the monomial x^m modulo the basis; the division runs on
-    exponents below p_rv, whatever the size of m.
+    exponents below p_1, whatever the size of m.
 
-    With rv the cheapest variable, x_i^(p_rv) - x_rv^(p_i) lies in I_L, so
-    x^m is congruent to x_rv^k * x^b with b_i = m_i mod p_rv (i != rv),
-    b_rv = 0 and k = (m.p - b.p) / p_rv.  No head uses x_rv
-    (validate_basis), so x_rv^k times the normal form of x^b is standard,
-    and it is the normal form of x^m.  reduce_binomial and
-    frobenius.is_representable divide through here.
+    x_1 is the cheapest variable, and x_i^(p_1) - x_1^(p_i) lies in I_L, so
+    x^m is congruent to x_1^k * x^b with b_i = m_i mod p_1 (i >= 2),
+    b_1 = 0 and k = (m.p - b.p) / p_1.  No head uses x_1 (validate_basis),
+    so x_1^k times the normal form of x^b is standard, and it is the normal
+    form of x^m.  reduce_binomial and frobenius.is_representable divide
+    through here.
     """
     p = G.weights
     _check_dim(m, p.n)
     if any(x < 0 for x in m):
         raise ValueError("normal_form expects a nonnegative exponent vector")
-    rv = G.order.revlex_variable - 1
-    prv = p.entries[rv]
-    b = tuple(0 if i == rv else x % prv for i, x in enumerate(m))
+    p1 = p.entries[0]
+    b = (0, *(x % p1 for x in m[1:]))
     r = _nf_monomial(b, G._reducers)
-    k = (pdegree(m, p) - pdegree(b, p)) // prv
-    return r[:rv] + (r[rv] + k,) + r[rv + 1 :]
-
-
-def _check_cheapest_first(G: GroebnerBasis, caller: str) -> None:
-    """Raise unless x_1 is the cheapest variable of the basis order, so that
-    no head uses x_1."""
-    if G.order.revlex_variable != 1:
-        raise ValueError(f"{caller} needs a basis with cheapest variable 1")
+    k = (pdegree(m, p) - pdegree(b, p)) // p1
+    return (r[0] + k,) + r[1:]
 
 
 def reduce_binomial(a: Vector, G: GroebnerBasis) -> tuple[Vector, Vector]:
     """Divide x^(a+) - x^(a-) by the basis; return (w, c) with remainder
     x^w * (x^(c+) - x^(c-)) and x^(c-) below x^(c+) in the order.
 
-    Requires the sign pattern a_1 <= 0, a_i >= 0 for i >= 2, and a basis
-    whose cheapest variable is the first one; then no head touches x^(a-),
-    and c can only be negative in its first coordinate.  The work is that
+    Requires the sign pattern a_1 <= 0, a_i >= 0 for i >= 2.  x_1 is the
+    cheapest variable of the basis order, so no head touches x^(a-), and c
+    can only be negative in its first coordinate.  The work is that
     of one normal_form, bounded in the size of a.  On a = solve_degree(p, t)
     this is the paper's representability test, and
     frobenius.is_representable decides through it.
     """
-    _check_cheapest_first(G, "reduce_binomial")
     _check_dim(a, G.weights.n)
     if a[0] > 0 or any(x < 0 for x in a[1:]):
         raise ValueError("expected a_1 <= 0 and a_i >= 0 for i >= 2")

@@ -89,9 +89,10 @@ def staircase(n: int, gens) -> tuple[int | None, frozenset[Vector]]:
         last, cut, inner, inner_tops = 0, frozenset(), 0, []
         for c in sorted(layers):
             total += (c - last) * inner
-            # the generators of one last exponent are an antichain, so the
-            # slice stays minimal if each enters unless a kept one divides
-            # it, and removes the kept ones it divides
+            # on minimal input the generators of one last exponent are an
+            # antichain, so the slice stays minimal if each enters unless a
+            # kept one divides it, and removes the kept ones it divides;
+            # other input only gives slices with redundant generators
             new = [g for g in layers[c] if not any(_divides(m, g) for m in cut)]
             cut = frozenset(
                 [m for m in cut if not any(_divides(g, m) for g in new)] + new
@@ -105,7 +106,7 @@ def staircase(n: int, gens) -> tuple[int | None, frozenset[Vector]]:
         memo[ideal] = out = (total if inner == 0 else None), tops
         return out
 
-    count, tops = walk(n, minimalize(gens))
+    count, tops = walk(n, frozenset(gens))
     return count, frozenset(tops)
 
 

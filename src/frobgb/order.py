@@ -1,16 +1,18 @@
-"""Degree-first term order on exponent vectors.
+"""Degree-first term order on exponent vectors, with x_1 cheapest.
 
 Monomials are compared by weighted degree first; ties are broken by a
-reverse lexicographic scan that starts at the distinguished variable, so
-that variable is the cheapest one (a larger exponent there makes a monomial
-smaller).  The degree comparison comes first, so this is a term order.
+reverse lexicographic scan that starts at x_1, so x_1 is the cheapest
+variable (a larger exponent there makes a monomial smaller).  The degree
+comparison comes first, so this is a term order.  Every public basis is
+computed in this order; the saturation passes of grobner make other
+variables cheapest by permuting coordinates (_scan_order).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
+from operator import mul, neg
 
 from .arith import Vector, Weights, _check_dim
 
@@ -20,40 +22,28 @@ __all__ = ["EQ", "GT", "LT", "OrderConfig", "compare"]
 
 
 @lru_cache(maxsize=None)
-def _scan_order(n: int, revlex_variable: int) -> tuple[int, ...]:
-    first = revlex_variable - 1
+def _scan_order(n: int, var: int) -> tuple[int, ...]:
+    """The coordinates with var's (1-indexed) moved to the front: the revlex
+    scan of the order in which var is cheapest."""
+    first = var - 1
     return (first,) + tuple(i for i in range(n) if i != first)
 
 
 @dataclass(frozen=True)
 class OrderConfig:
-    """A weighted degree-first order with a distinguished cheapest variable.
+    """The weighted degree-first order with x_1 cheapest.
 
-    revlex_variable is 1-indexed.  Between monomials of equal degree the
-    comparison scans that coordinate first and then the rest in ascending
-    position, declaring the vector with the larger entry at the first
-    difference to be the smaller monomial.
+    Between monomials of equal degree the comparison scans the coordinates
+    in ascending position, declaring the vector with the larger entry at the
+    first difference to be the smaller monomial.
     """
 
     weights: Weights
-    revlex_variable: int = 1
-
-    def __post_init__(self) -> None:
-        if not 1 <= self.revlex_variable <= self.weights.n:
-            raise ValueError(
-                f"revlex_variable must be in 1..{self.weights.n},"
-                f" got {self.revlex_variable}"
-            )
-
-    def with_revlex(self, variable: int) -> "OrderConfig":
-        return replace(self, revlex_variable=variable)
 
     def sort_key(self, v: Vector) -> tuple[int, ...]:
         """Monotone embedding of the order into tuples under lexicographic
         comparison; usable as a sort or heap key."""
-        p = self.weights.entries
-        scan = _scan_order(len(p), self.revlex_variable)
-        return (sum(map(mul, v, p)), *[-v[i] for i in scan])
+        return (sum(map(mul, v, self.weights.entries)), *map(neg, v))
 
 
 def _validate(v: Vector, n: int) -> None:

@@ -258,22 +258,33 @@ def _ref_interreduce(basis, key):
     return [(h, _ref_nf(t, kept)) for h, t in kept]
 
 
-def reference_groebner(rows, cfg):
-    """Reduced basis of the saturated lattice ideal of the kernel rows under
-    cfg, as a list of (head, tail) pairs in ascending head order.
+def _ref_scan(n, var):
+    """The coordinates with x_var's first, the others in ascending position."""
+    return [var - 1] + [i for i in range(n) if i != var - 1]
+
+
+def _ref_key(p, var):
+    """Sort key of the degree-first order of the weights p with x_var
+    cheapest: degree, then the negated exponents in _ref_scan order."""
+    scan = _ref_scan(len(p), var)
+    return lambda v: (dot(v, p), *[-v[i] for i in scan])
+
+
+def reference_groebner(rows, p):
+    """Reduced basis of the saturated lattice ideal of the kernel rows of the
+    weights p, in the order with x_1 cheapest, as a list of (head, tail)
+    pairs in ascending head order.
 
     The full-saturation reference: one pass for every variable, in index
-    order with the order's own cheapest variable last, where lattice_groebner
-    skips one pass and picks its own order.  Only the order's sort key is
-    borrowed from the library."""
-    n = len(cfg.weights.entries)
+    order with x_1 last, where lattice_groebner skips one pass and picks its
+    own order.  Each pass builds its own sort key; nothing is borrowed from
+    the library."""
+    p = tuple(p)
     cur = [
         (tuple(max(x, 0) for x in r), tuple(max(-x, 0) for x in r)) for r in rows
     ]
-    passes = [v for v in range(1, n + 1) if v != cfg.revlex_variable]
-    passes.append(cfg.revlex_variable)
-    for var in passes:
-        key = cfg.with_revlex(var).sort_key
+    for var in [*range(2, len(p) + 1), 1]:
+        key = _ref_key(p, var)
         oriented = []
         for a, b in cur:
             pair = _ref_orient(a, b, key)
@@ -281,6 +292,13 @@ def reference_groebner(rows, cfg):
                 oriented.append(_ref_strip(*pair))
         cur = _ref_interreduce(_ref_buchberger(oriented, key), key)
     return cur
+
+
+def permuted(p, rows, var):
+    """The weights p and the rows in _ref_scan order of their coordinates,
+    so the order with x_var cheapest becomes the one with x_1 cheapest."""
+    scan = _ref_scan(len(p), var)
+    return tuple(p[i] for i in scan), [tuple(r[i] for i in scan) for r in rows]
 
 
 # -- reference staircase walk ------------------------------------------------

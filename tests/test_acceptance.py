@@ -239,7 +239,7 @@ def test_c09_self_consistency_at_scale():
     p = Weights(entries)
     start = time.perf_counter()
     cfg = OrderConfig(p)
-    G = lattice_groebner(p, lll_reduce(kernel_basis(p)), cfg)
+    G = lattice_groebner(p, kernel_basis(p), cfg)  # reduces the rows itself
     comps = irreducible_decomposition(initial_ideal(G), p)
     fstar = max(pdegree(tuple(x - 1 for x in v), p) for v in comps)
     assert not is_representable(p, fstar, G).representable
@@ -278,7 +278,7 @@ def test_c09_stretch_hundred_digits():
     entries = _random_coprime(rng, 4, 100)
     p = Weights(entries)
     start = time.perf_counter()
-    G = lattice_groebner(p, lll_reduce(kernel_basis(p)), OrderConfig(p))
+    G = lattice_groebner(p, kernel_basis(p), OrderConfig(p))  # reduces the rows itself
     comps = irreducible_decomposition(initial_ideal(G), p)
     fstar = max(pdegree(tuple(x - 1 for x in v), p) for v in comps)
     assert not is_representable(p, fstar, G).representable

@@ -5,6 +5,7 @@ from __future__ import annotations
 import gc
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -340,3 +341,21 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "29\n"
+
+
+def test_a_closed_pipe_exits_141_without_a_traceback():
+    # the reader of standard output is gone before frob starts, so its first
+    # write, or the final flush, meets a broken pipe: frob says nothing and
+    # exits 128 + SIGPIPE
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "frobgb", "gb", "6", "10", "15"],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            timeout=30,
+        )
+    finally:
+        os.close(write_end)
+    assert (proc.returncode, proc.stderr) == (141, b"")

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 import sys
 import time
 from math import gcd
@@ -20,6 +21,7 @@ from frobgb import (
     apery_frobenius,
     contains_monomial,
     frobenius_number,
+    hilbert_value,
     initial_ideal,
     irreducible_decomposition,
     irreducible_decomposition_general,
@@ -28,6 +30,7 @@ from frobgb import (
     lattice_groebner,
     lll_reduce,
     pdegree,
+    solve_degree,
 )
 
 from helpers import benchmark_ladders, dot, random_weights
@@ -72,10 +75,23 @@ def test_is_representable_rejects_mismatched_basis():
     G = make_gb((6, 10, 15))
     with pytest.raises(ValueError):
         is_representable(Weights((2, 3)), 5, G)
-    p = Weights((6, 10, 15))
-    G2 = lattice_groebner(p, kernel_basis(p), OrderConfig(p, revlex_variable=3))
+
+
+@pytest.mark.parametrize("t", [30.0, 7.5, -7.0, 10**20 + 0.5, True, False])
+def test_non_integer_degrees_are_rejected(t):
+    # a float or bool t used to give a wrong witness, a float solution or
+    # an AssertionError; t must be an int, by the rule Weights applies to
+    # its weights, before any shortcut on a negative t or a single weight
+    sol, one = Solution((6, 10, 15)), Solution((1,))
+    for call in (
+        lambda: is_representable(sol.weights, t, sol.basis),
+        lambda: is_representable(one.weights, t, one.basis),
+        lambda: solve_degree(sol.weights, t),
+    ):
+        with pytest.raises(ValueError, match=re.escape(f"t {t!r} is not an integer")):
+            call()
     with pytest.raises(ValueError):
-        is_representable(p, 5, G2)
+        hilbert_value(sol, t)
 
 
 def test_is_representable_window_against_oracle(pool):

@@ -45,6 +45,7 @@ from helpers import (
     benchmark_ladders,
     dot,
     integer_combination,
+    permuted,
     random_weights,
     reference_groebner,
 )
@@ -52,12 +53,12 @@ from helpers import (
 SEED = 550123
 
 
-def make_gb(entries, use_lll=True, **cfg_kw):
+def make_gb(entries, use_lll=True):
     p = Weights(entries)
     rows = kernel_basis(p)
     if use_lll:
         rows = lll_reduce(rows)
-    return lattice_groebner(p, rows, OrderConfig(p, **cfg_kw))
+    return lattice_groebner(p, rows, OrderConfig(p))
 
 
 FROZEN = {
@@ -266,13 +267,6 @@ def test_reduce_binomial_rejects_bad_inputs():
         reduce_binomial((-1, -2, 0), G)
     with pytest.raises(ValueError):
         reduce_binomial((-1, 2), G)
-    G2 = lattice_groebner(
-        Weights((6, 10, 15)),
-        kernel_basis(Weights((6, 10, 15))),
-        OrderConfig(Weights((6, 10, 15)), revlex_variable=2),
-    )
-    with pytest.raises(ValueError):
-        reduce_binomial((-1, 2, 1), G2)
 
 
 def test_lattice_groebner_rejects_bad_rows():
@@ -375,20 +369,21 @@ def test_matches_the_all_pairs_reference(pool):
     # neither the pair criteria, the reducer lookup nor the lazy saturation
     # (two runs when the Apery count certifies them) may change any basis,
     # on reduced or unreduced rows.  Nor may normal_form's fold of the
-    # exponents mod p_rv change a normal form: random monomials with
-    # exponents up to 3 * p_rv are held to plain division by the reference.
+    # exponents mod p_1 change a normal form: random monomials with
+    # exponents up to 3 * p_1 are held to plain division by the reference.
+    # Every weight takes its turn as p_1, the rows permuted alike, so every
+    # variable is the cheapest once.
     rng = random.Random(SEED + 8)
     for inst in pool:
         for rows in (lll_reduce(inst.kernel_rows), inst.kernel_rows):
             for rv in range(1, inst.weights.n + 1):
-                cfg = OrderConfig(inst.weights, revlex_variable=rv)
-                G = lattice_groebner(inst.weights, rows, cfg)
-                expected = reference_groebner(rows, cfg)
-                assert [(g.head, g.tail) for g in G.elements] == expected, (cfg, rows)
-                top = 3 * inst.weights.entries[rv - 1]
+                q, q_rows = permuted(inst.weights.entries, rows, rv)
+                G = lattice_groebner(q, q_rows, OrderConfig(Weights(q)))
+                expected = reference_groebner(q_rows, q)
+                assert [(g.head, g.tail) for g in G.elements] == expected, (q, q_rows)
                 for _ in range(8):
-                    m = tuple(rng.randint(0, top) for _ in range(inst.weights.n))
-                    assert normal_form(m, G) == _ref_nf(m, expected), (cfg, m)
+                    m = tuple(rng.randint(0, 3 * q[0]) for _ in q)
+                    assert normal_form(m, G) == _ref_nf(m, expected), (q, m)
 
 
 @pytest.mark.parametrize("entries", [(100, 1669, 1571, 825, 1873, 769, 1101),
@@ -398,7 +393,7 @@ def test_seven_weights_match_the_all_pairs_reference(entries):
     # pair criteria prune grows fastest with n: on LLL rows with x_1
     # cheapest, the basis is the reference's and f* the oracle's
     sol = Solution(entries)
-    expected = reference_groebner(lll_reduce(sol.kernel_rows), sol.basis.order)
+    expected = reference_groebner(lll_reduce(sol.kernel_rows), sol.weights)
     assert [(g.head, g.tail) for g in sol.basis.elements] == expected
     assert sol.frobenius == apery_frobenius(entries)
 
@@ -448,8 +443,8 @@ def test_packed_heads_agree_with_tuples():
 @pytest.mark.parametrize("entries", [(3, 1000, 1001), (23, 29, 31, 37)])
 def test_a_wider_head_repacks_mid_run(monkeypatch, entries):
     # a head wider than the packing arrives after the first, so the active
-    # heads are repacked in the middle of a run; every order's basis is
-    # still the reference's
+    # heads are repacked in the middle of a run; with every weight first in
+    # turn, the basis is still the reference's
     runs = []
     pack, buchberger = grobner._pack, grobner._buchberger
 
@@ -457,18 +452,17 @@ def test_a_wider_head_repacks_mid_run(monkeypatch, entries):
         runs[-1].add(width)
         return pack(v, width)
 
-    def recording_buchberger(gens, cfg):
+    def recording_buchberger(gens, weights, var):
         runs.append(set())
-        return buchberger(gens, cfg)
+        return buchberger(gens, weights, var)
 
     monkeypatch.setattr(grobner, "_pack", recording_pack)
     monkeypatch.setattr(grobner, "_buchberger", recording_buchberger)
-    p = Weights(entries)
-    rows = lll_reduce(kernel_basis(p))
-    for rv in range(1, p.n + 1):
-        cfg = OrderConfig(p, revlex_variable=rv)
-        G = lattice_groebner(p, rows, cfg)
-        assert [(g.head, g.tail) for g in G.elements] == reference_groebner(rows, cfg)
+    rows = lll_reduce(kernel_basis(Weights(entries)))
+    for rv in range(1, len(entries) + 1):
+        q, q_rows = permuted(entries, rows, rv)
+        G = lattice_groebner(q, q_rows, OrderConfig(Weights(q)))
+        assert [(g.head, g.tail) for g in G.elements] == reference_groebner(q_rows, q)
     assert any(len(widths) > 1 for widths in runs)
 
 
@@ -496,26 +490,26 @@ def buchberger_runs(monkeypatch):
     runs = []
     original = grobner._buchberger
 
-    def counting(gens, cfg):
-        runs.append(cfg.revlex_variable)
-        return original(gens, cfg)
+    def counting(gens, weights, var):
+        runs.append(var)
+        return original(gens, weights, var)
 
     monkeypatch.setattr(grobner, "_buchberger", counting)
     return runs
 
 
-def row_degree_order(p, rows, rv):
-    """The variables other than rv by decreasing largest row degree."""
+def row_degree_order(p, rows):
+    """The variables x_2, ..., x_n by decreasing largest row degree."""
     return sorted(
-        (v for v in range(1, p.n + 1) if v != rv),
-        key=lambda v: -p.entries[v - 1] * max(abs(r[v - 1]) for r in rows),
+        range(2, len(p) + 1),
+        key=lambda v: -p[v - 1] * max(abs(r[v - 1]) for r in rows),
     )
 
 
 def test_certified_saturation_takes_two_runs(buchberger_runs):
     # the first variable of the row-degree order of the LLL rows, then the
     # target order; the Apery count certifies these inputs, so nothing else
-    # runs
+    # runs.  Every weight takes its turn as p_1.
     rng = random.Random(SEED + 7)
     cases = [random_weights(rng, 2, 6, 2, 60) for _ in range(12)]
     cases += [(1, 7, 9), (5, 1, 9, 13), (2, 9), (9, 2, 15, 31), (61, 2, 37, 45, 13, 1)]
@@ -523,32 +517,31 @@ def test_certified_saturation_takes_two_runs(buchberger_runs):
         p = Weights(entries)
         for rows in (kernel_basis(p), lll_reduce(kernel_basis(p))):
             for rv in range(1, p.n + 1):
-                cfg = OrderConfig(p, revlex_variable=rv)
+                q, q_rows = permuted(entries, rows, rv)
                 buchberger_runs.clear()
-                G = lattice_groebner(p, rows, cfg)
-                assert buchberger_runs == [row_degree_order(p, lll_reduce(rows), rv)[0], rv], (
-                    entries, rv, buchberger_runs)
-                expected = reference_groebner(rows, cfg)
-                assert [(g.head, g.tail) for g in G.elements] == expected, (cfg, rows)
+                G = lattice_groebner(q, q_rows, OrderConfig(Weights(q)))
+                assert buchberger_runs == [row_degree_order(q, lll_reduce(q_rows))[0], 1], (
+                    q, buchberger_runs)
+                expected = reference_groebner(q_rows, q)
+                assert [(g.head, g.tail) for g in G.elements] == expected, (q, q_rows)
 
 
-# Inputs whose two runs leave an Apery count above p_rv, on LLL rows (3 of
-# 2,755 random runs).
-UNCERTIFIED = [((9905, 8871, 6232, 713, 7073), 4), ((7, 6, 4, 9, 9, 6), 4),
-               ((7, 6, 4, 9, 9, 6), 5)]
+# Inputs whose two runs leave an Apery count above p_1, on LLL rows, with
+# the Buchberger runs they take.
+UNCERTIFIED = [((713, 9905, 8871, 6232, 7073), [4, 1, 3, 5, 1]),
+               ((9, 7, 6, 4, 9, 6), [5, 1, 2, 3, 6, 1])]
 
 
-@pytest.mark.parametrize("entries, rv", UNCERTIFIED)
-def test_uncertified_saturation_falls_back(buchberger_runs, entries, rv):
+@pytest.mark.parametrize("entries, runs", UNCERTIFIED)
+def test_uncertified_saturation_falls_back(buchberger_runs, entries, runs):
     # every other variable but the second of the order is saturated, then
     # the target order runs again
     p = Weights(entries)
     rows = lll_reduce(kernel_basis(p))
-    cfg = OrderConfig(p, revlex_variable=rv)
-    G = lattice_groebner(p, rows, cfg)
-    order = row_degree_order(p, rows, rv)
-    assert buchberger_runs == [order[0], rv, *order[2:], rv]
-    assert [(g.head, g.tail) for g in G.elements] == reference_groebner(rows, cfg)
+    G = lattice_groebner(p, rows, OrderConfig(p))
+    order = row_degree_order(entries, rows)
+    assert buchberger_runs == runs == [order[0], 1, *order[2:], 1]
+    assert [(g.head, g.tail) for g in G.elements] == reference_groebner(rows, entries)
 
 
 def test_benchmark_ladder_takes_two_runs(buchberger_runs):
@@ -589,7 +582,11 @@ def test_saturation_matches_sympy():
             saturation = [g for g in elim.exprs if not g.has(t)]
             expected = sympy.groebner(saturation, *xs, order="grevlex").exprs
             for rv in range(1, p.n + 1):
-                G = lattice_groebner(p, rows, OrderConfig(p, revlex_variable=rv))
-                ours = [binomial(xs, g.vector) for g in G.elements]
+                # x_rv cheapest: the weights, rows and variables permuted to
+                # put x_rv first
+                q, q_rows = permuted(entries, rows, rv)
+                qxs = permuted(xs, (), rv)[0]
+                G = lattice_groebner(q, q_rows, OrderConfig(Weights(q)))
+                ours = [binomial(qxs, g.vector) for g in G.elements]
                 got = sympy.groebner(ours, *xs, order="grevlex").exprs
                 assert got == expected, (p, rows, rv)

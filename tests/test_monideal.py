@@ -120,6 +120,23 @@ def test_colength_matches_enumeration():
     assert finite >= 200 and infinite >= 50
 
 
+def test_staircase_needs_no_minimal_generators():
+    # the walk takes its generators as they come: multiples and duplicates
+    # of generators change neither the count nor the maximal standard
+    # monomials
+    rng = random.Random(SEED + 4)
+    redundant = 0
+    for k in range(300):
+        n = k % 5
+        gens = [tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(0, 5))]
+        if k % 2:
+            gens += [tuple(rng.randint(1, 5) if j == i else 0 for j in range(n)) for i in range(n)]
+        gens += [tuple(x + rng.randint(0, 2) for x in g) for g in gens[:3]]
+        redundant += len(set(gens)) > len(minimalize(gens))
+        assert staircase(n, gens) == staircase(n, minimalize(gens)), (n, gens)
+    assert redundant >= 100
+
+
 def test_colength_edge_cases():
     assert staircase(0, [])[0] == 1  # the ring k itself
     assert staircase(0, [()])[0] == 0
