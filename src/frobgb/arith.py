@@ -108,6 +108,13 @@ def _check_dim(v: Vector, n: int) -> None:
         raise ValueError(f"expected a vector of dimension {n}, got {len(v)}")
 
 
+def _check_exponents(v: Vector, n: int) -> None:
+    """The one check of an exponent vector: n entries, none negative."""
+    _check_dim(v, n)
+    if any(x < 0 for x in v):
+        raise ValueError(f"exponent vector {v} has a negative entry")
+
+
 def pdegree(v: Vector, p: Weights) -> int:
     """Weighted degree of v: the dot product v.p."""
     _check_dim(v, p.n)
@@ -269,8 +276,7 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
         return ()
     width = len(rows[0])
     for r in rows:
-        if len(r) != width:
-            raise ValueError("basis rows must all have the same dimension")
+        _check_dim(r, width)
     gs = _gram_schmidt(rows, 0, 1)
     mu, norm2, _ = gs
     k, k_max = 1, 0

@@ -111,6 +111,7 @@ from .arith import (
     Vector,
     Weights,
     _check_dim,
+    _check_exponents,
     as_weights,
     decimal_str,
     lll_reduce,
@@ -119,7 +120,7 @@ from .arith import (
     positive_part,
 )
 from .monideal import staircase
-from .order import GT, LT, OrderConfig, _scan_order, compare
+from .order import OrderConfig, _scan_order
 
 __all__ = [
     "Binomial",
@@ -471,12 +472,20 @@ def lattice_groebner(
 def validate_basis(G: GroebnerBasis) -> None:
     """Check the structural invariants of a reduced kernel-ideal basis.
 
-    Raises ValueError on: inhomogeneous or misoriented elements, overlapping
+    Raises ValueError on: sides that are not exponent vectors of the
+    weights' dimension, inhomogeneous or misoriented elements, overlapping
     supports, elements out of ascending order, or a head dividing another
     head or any tail.  Last, it takes the Apery count: the x_1-free
     monomials outside the head ideal must number p_1, or the elements
     generate a proper sub-ideal of I_L, on which normal_form's fold is
     wrong.
+
+    It reads the pipeline's own tools: one OrderConfig.sort_key per side
+    gives the degree (key[0]), the orientation and the ascending order, and
+    two _reduce_step calls per element divide its head and its tail by the
+    earlier heads.  No later head can divide either: a head divides no
+    monomial of lower degree, and at equal degree only itself, while a
+    later head sorts above this head, and the tail sorts below it.
 
     Two shapes of the heads follow from these checks.  No head uses x_1,
     the cheapest variable: at equal degree a monomial that uses x_1 sorts
@@ -486,34 +495,28 @@ def validate_basis(G: GroebnerBasis) -> None:
     pure-power head are all standard, so a count of p_1 needs one, of
     exponent at most p_1.
     """
-    cfg = G.order
-    p = cfg.weights
-    n = p.n
-    key = cfg.sort_key
-    prev_key = None
+    p = G.weights
+    key = G.order.sort_key
+    prev: tuple = ()
     for g in G.elements:
-        if len(g.head) != n or len(g.tail) != n:
-            raise ValueError(f"element {g} has wrong dimension")
-        if pdegree(g.head, p) != pdegree(g.tail, p):
+        _check_exponents(g.head, p.n)
+        _check_exponents(g.tail, p.n)
+        kh, kt = key(g.head), key(g.tail)
+        if kh[0] != kt[0]:
             raise ValueError(f"element {g} is not homogeneous")
-        if compare(g.head, g.tail, cfg) != GT:
+        if kh <= kt:
             raise ValueError(f"element {g} is not oriented head-first")
         if any(a and b for a, b in zip(g.head, g.tail)):
             raise ValueError(f"element {g} has overlapping support")
-        k = key(g.head)
-        if prev_key is not None and k <= prev_key:
+        if kh <= prev:
             raise ValueError("elements are not in ascending head order")
-        prev_key = k
-    heads = G.heads()
+        prev = kh
     reducers = G._reducers
-    head_masks = [mask for mask, _, _ in reducers]
-    tail_masks = [_support(g.tail) for g in G.elements]
-    for i, (mask, support, _) in enumerate(reducers):
-        for j, g in enumerate(G.elements):
-            if i != j and not mask & ~head_masks[j] and _multiplicity(g.head, support):
-                raise ValueError(f"head {heads[i]} divides head {g.head}")
-            if not mask & ~tail_masks[j] and _multiplicity(g.tail, support):
-                raise ValueError(f"head {heads[i]} divides tail {g.tail}")
+    for i, g in enumerate(G.elements):
+        if _reduce_step(g.head, reducers[:i]) is not None:
+            raise ValueError(f"an earlier head divides head {g.head}")
+        if _reduce_step(g.tail, reducers[:i]) is not None:
+            raise ValueError(f"an earlier head divides tail {g.tail}")
     count = G._staircase[0]
     if count != p.entries[0]:
         left = "infinitely many" if count is None else decimal_str(count)
@@ -536,9 +539,7 @@ def normal_form(m: Vector, G: GroebnerBasis) -> Vector:
     through here.
     """
     p = G.weights
-    _check_dim(m, p.n)
-    if any(x < 0 for x in m):
-        raise ValueError("normal_form expects a nonnegative exponent vector")
+    _check_exponents(m, p.n)
     p1 = p.entries[0]
     b = (0, *(x % p1 for x in m[1:]))
     r = _nf_monomial(b, G._reducers)
@@ -565,7 +566,7 @@ def reduce_binomial(a: Vector, G: GroebnerBasis) -> tuple[Vector, Vector]:
     w = tuple(min(x, y) for x, y in zip(u, v))
     if u == v:
         return w, (0,) * len(a)
-    if compare(u, v, G.order) == LT:
+    if G.order.sort_key(u) < G.order.sort_key(v):
         u, v = v, u
     c = tuple(x - y for x, y in zip(u, v))
     return w, c

@@ -13,6 +13,7 @@ index_of_regularity reads Solution.frobenius.
 
 from __future__ import annotations
 
+from .arith import _check_int
 from .frobenius import Solution, is_representable
 
 __all__ = ["EnumerationTooLarge", "hilbert_value", "index_of_regularity"]
@@ -26,6 +27,7 @@ class EnumerationTooLarge(ValueError):
 def hilbert_value(sol: Solution, t: int) -> int:
     """Number of standard monomials of weighted degree t: 1 when t is
     representable, else 0, decided by one bounded normal form."""
+    _check_int(t, "t")
     if t < 0:
         raise ValueError("t must be >= 0")
     return int(is_representable(sol.weights, t, sol.basis).representable)

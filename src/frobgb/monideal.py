@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from operator import le
 
-from .arith import Vector, Weights, _check_dim, decimal_str
+from .arith import Vector, Weights, _check_exponents, decimal_str
 
 __all__ = [
     "MonomialIdeal",
@@ -70,9 +70,7 @@ def staircase(n: int, gens) -> tuple[int | None, frozenset[Vector]]:
     """
     gens = [tuple(g) for g in gens]
     for g in gens:
-        _check_dim(g, n)
-        if any(x < 0 for x in g):
-            raise ValueError(f"generator {g} has a negative exponent")
+        _check_exponents(g, n)
     memo: dict[frozenset[Vector], tuple[int | None, list[Vector]]] = {}
 
     def walk(k: int, ideal: frozenset[Vector]) -> tuple[int | None, list[Vector]]:
@@ -121,10 +119,7 @@ class MonomialIdeal:
         gens = frozenset(tuple(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         for g in gens:
-            if len(g) != self.n:
-                raise ValueError(f"generator {g} has dimension {len(g)}, expected {self.n}")
-            if any(x < 0 for x in g):
-                raise ValueError(f"generator {g} has a negative exponent")
+            _check_exponents(g, self.n)
         for a in gens:
             for b in gens:
                 if a != b and _divides(a, b):
@@ -153,17 +148,14 @@ def initial_ideal(G) -> MonomialIdeal:
 
 def contains_monomial(I: MonomialIdeal, m: Vector) -> bool:
     """True iff x^m lies in I, i.e. some generator divides m."""
-    _check_dim(m, I.n)
-    if any(x < 0 for x in m):
-        raise ValueError(f"monomial {m} has a negative exponent")
+    _check_exponents(m, I.n)
     return any(_divides(g, m) for g in I.generators)
 
 
 def component_ideal(v: Vector) -> MonomialIdeal:
     """The irreducible ideal of v: generated by x_i^(v_i) for v_i > 0."""
-    if any(x < 0 for x in v):
-        raise ValueError(f"component {v} has a negative entry")
     n = len(v)
+    _check_exponents(v, n)
     gens = []
     for i, e in enumerate(v):
         if e > 0:

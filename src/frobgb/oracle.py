@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Optional
 
-from .arith import Vector, Weights, as_weights, decimal_str, pdegree
+from .arith import Vector, Weights, _check_int, as_weights, decimal_str, pdegree
 
 __all__ = ["AperyTable", "OracleScaleExceeded", "apery_frobenius", "dp_representable"]
 
@@ -69,6 +69,9 @@ class AperyTable:
         return cls(p, m, tuple(dist), tuple(pred))
 
     def representable(self, t: int) -> bool:
+        """t is an int (not a bool) at least the least representable
+        value of its residue class; negative t never is."""
+        _check_int(t, "t")
         return t >= 0 and t >= self.least[t % self.modulus]
 
     def witness(self, t: int) -> Optional[Vector]:

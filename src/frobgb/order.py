@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import mul, neg
 
-from .arith import Vector, Weights, _check_dim
+from .arith import Vector, Weights, _check_exponents
 
 LT, EQ, GT = -1, 0, 1
 
@@ -46,17 +46,10 @@ class OrderConfig:
         return (sum(map(mul, v, self.weights.entries)), *map(neg, v))
 
 
-def _validate(v: Vector, n: int) -> None:
-    _check_dim(v, n)
-    if any(x < 0 for x in v):
-        raise ValueError("term order comparisons are defined on nonnegative vectors")
-
-
 def compare(a: Vector, b: Vector, cfg: OrderConfig) -> int:
     """LT, EQ or GT for the monomials x^a versus x^b."""
     n = cfg.weights.n
-    _validate(a, n)
-    _validate(b, n)
-    ka = cfg.sort_key(a)
-    kb = cfg.sort_key(b)
+    _check_exponents(a, n)
+    _check_exponents(b, n)
+    ka, kb = cfg.sort_key(a), cfg.sort_key(b)
     return (ka > kb) - (ka < kb)

@@ -1,7 +1,8 @@
 """Shared checks: exact lattice comparisons, reduction certificates, random
 instance generation, a reference LLL, a reference Buchberger with its plain
-division (_ref_nf) and a reference staircase walk.  Everything here is
-independent of the library internals so it can act as a referee."""
+division (_ref_nf), a reference reducedness check and a reference staircase
+walk.  Everything here is independent of the library internals so it can
+act as a referee."""
 
 from __future__ import annotations
 
@@ -299,6 +300,51 @@ def permuted(p, rows, var):
     so the order with x_var cheapest becomes the one with x_1 cheapest."""
     scan = _ref_scan(len(p), var)
     return tuple(p[i] for i in scan), [tuple(r[i] for i in scan) for r in rows]
+
+
+# -- reference reducedness check --------------------------------------------
+#
+# The pairwise loop validate_basis ran before it divided by _reduce_step:
+# every head against every other head and every tail, a pair passed over
+# when the head's support bitmask has a bit outside the other monomial's,
+# the exponents scanned otherwise.
+
+
+def _ref_support(v):
+    return sum(1 << i for i, a in enumerate(v) if a)
+
+
+def reference_reducedness(elements):
+    """Every "head h divides head g" and "head h divides tail t" among the
+    (head, tail) pairs, as messages; empty when the heads are an antichain
+    and no head divides a tail."""
+    head_masks = [_ref_support(h) for h, _ in elements]
+    tail_masks = [_ref_support(t) for _, t in elements]
+    out = []
+    for i, (h, _) in enumerate(elements):
+        mask = head_masks[i]
+        for j, (g, t) in enumerate(elements):
+            if i != j and not mask & ~head_masks[j] and _ref_divides(h, g):
+                out.append(f"head {h} divides head {g}")
+            if not mask & ~tail_masks[j] and _ref_divides(h, t):
+                out.append(f"head {h} divides tail {t}")
+    return out
+
+
+def binomial_shape_ok(elements, p):
+    """True when the (head, tail) pairs pass every shape check of a reduced
+    basis in the order with x_1 cheapest: nonnegative, homogeneous, head
+    above tail, disjoint supports and heads strictly ascending."""
+    key = _ref_key(p, 1)
+    prev = None
+    for h, t in elements:
+        kh, kt = key(h), key(t)
+        if min(h + t) < 0 or kh[0] != kt[0] or kh <= kt:
+            return False
+        if any(a and b for a, b in zip(h, t)) or (prev is not None and kh <= prev):
+            return False
+        prev = kh
+    return True
 
 
 # -- reference staircase walk ------------------------------------------------

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 import time
-from operator import sub
+from collections import Counter
+from operator import le, sub
 
 import pytest
 
@@ -41,13 +42,16 @@ from frobgb.monideal import _divides
 from frobgb.order import EQ, LT
 
 from helpers import (
+    _ref_key,
     _ref_nf,
     benchmark_ladders,
+    binomial_shape_ok,
     dot,
     integer_combination,
     permuted,
     random_weights,
     reference_groebner,
+    reference_reducedness,
 )
 
 SEED = 550123
@@ -347,6 +351,51 @@ def test_validate_basis_rejects_a_proper_sub_ideal():
     )
     with pytest.raises(ValueError, match="12 standard monomials free of x1, not p_1 = 6"):
         validate_basis(G)
+
+
+def damaged_copies(elements, p):
+    """Copies of a basis, as (side, elements), in which the tail of element
+    j (side "tail"), or its head (side "head"), is replaced by a multiple of
+    the head h_i of another element: m - t_i + h_i for the side m, when t_i
+    divides m.  The degree stays, the heads are sorted again, and only the
+    copies that pass every shape check (helpers.binomial_shape_ok) are
+    kept, so that only the divisibility of the new side is wrong."""
+    key = _ref_key(p, 1)
+    for side in ("tail", "head"):
+        for j, (hj, tj) in enumerate(elements):
+            m = tj if side == "tail" else hj
+            for i, (hi, ti) in enumerate(elements):
+                if i == j or not all(map(le, ti, m)):
+                    continue
+                new = tuple(a - b + c for a, b, c in zip(m, ti, hi))
+                g = (hj, new) if side == "tail" else (new, tj)
+                copy = sorted(elements[:j] + [g] + elements[j + 1:], key=lambda e: key(e[0]))
+                if binomial_shape_ok(copy, p):
+                    yield side, copy
+
+
+def test_validate_basis_agrees_with_the_reference_reducedness(pool):
+    # validate_basis divides each head and each tail by the earlier heads
+    # with _reduce_step, where it used to run the pairwise mask loop of
+    # helpers.reference_reducedness.  Both pass every pool and
+    # benchmark-ladder basis and reject every damaged copy, for the side
+    # that was damaged: 154 tail and 90 head copies on these bases.
+    ladders = benchmark_ladders()
+    sols = [*pool, *map(Solution, ladders["fstar-n56"] + ladders["cli-small"])]
+    tested = Counter()
+    for sol in sols:
+        G = sol.basis
+        elements = [(g.head, g.tail) for g in G.elements]
+        assert reference_reducedness(elements) == []
+        validate_basis(G)
+        for side, copy in damaged_copies(elements, sol.weights.entries):
+            found = reference_reducedness(copy)
+            assert found and all(f"divides {side}" in msg for msg in found), copy
+            damaged = GroebnerBasis(tuple(Binomial(h, t) for h, t in copy), G.order)
+            with pytest.raises(ValueError, match=f"divides {side}"):
+                validate_basis(damaged)
+            tested[side] += 1
+    assert tested["tail"] >= 100 and tested["head"] >= 50, tested
 
 
 def test_normal_form_rejects_bad_vectors():
