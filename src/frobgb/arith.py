@@ -2,8 +2,9 @@
 kernel lattice bases, and rational-arithmetic LLL reduction.
 
 LLL keeps exact Fraction Gram-Schmidt data for rows 0..k_max only, the rows
-its loop has reached, and recomputes just the rows a step changes.  It does
-not update mu in place and is not the integral LLL; see lll_reduce.
+its loop has reached.  A swap updates the data of the swapped pair in place;
+a size reduction recomputes its row.  It is not the integral LLL; see
+lll_reduce.
 
 Exponent vectors and lattice vectors are plain ``tuple[int, ...]``.  Python
 integers keep every operation exact at any magnitude, so nothing here is
@@ -243,6 +244,27 @@ def _gram_schmidt(rows, start: int, stop: int, gs=None):
     return gs
 
 
+def _swap_gram_schmidt(k: int, gs) -> None:
+    """Update gs in place for rows k-1 and k swapped (Cohen 1993, Alg.
+    2.6.3, SWAP, without its loop over the rows i > k).
+
+    Only the data of rows k-1 and k changes, and rows 0..k are independent,
+    so the new norm2[k-1] is positive.
+    """
+    mu, norm2, star = gs
+    u = mu[k][k - 1]
+    b = norm2[k] + u * u * norm2[k - 1]
+    v = u * norm2[k - 1] / b
+    old = star[k - 1]
+    new = [x + u * y for x, y in zip(star[k], old)]
+    star[k - 1] = new
+    star[k] = [x - v * y for x, y in zip(old, new)]
+    norm2[k] = norm2[k - 1] * norm2[k] / b
+    norm2[k - 1] = b
+    mu[k][k - 1] = v
+    mu[k - 1][: k - 1], mu[k][: k - 1] = mu[k][: k - 1], mu[k - 1][: k - 1]
+
+
 LLL_DELTA = Fraction(99, 100)
 
 
@@ -255,20 +277,29 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     shrinks entries.  Rows that are already reduced come back unchanged:
     every |mu| <= 1/2 rounds to 0 and every Lovasz test passes.
 
+    Every entry must be an int (a bool is not one), or ValueError is
+    raised.
+
     The Gram-Schmidt data is computed only for the rows the loop has
     reached, rows 0..k_max (Cohen 1993, Alg. 2.6.3): row k's data is first
     computed when k passes k_max.  Size-reducing row k changes neither b*_k
     nor the data of any row below it, so only row k is recomputed.
-    Swapping rows k-1 and k recomputes those two and sets k_max = k, so the
-    rows below them are recomputed when the loop reaches them again.  A
+    Swapping rows k-1 and k updates those two rows' data in place with
+    Cohen's SWAP formulas (_swap_gram_schmidt) and sets k_max = k, so the
+    rows after them are recomputed when the loop reaches them again.  A
     dependent row therefore raises only when k reaches it.  The arithmetic
     is exact, so the steps and the output are those of a full recomputation
     after every step (tests/helpers.reference_lll).
 
-    Updating mu in place on a swap, and integral LLL (Cohen, Alg. 2.6.7),
-    would do less still.  They wait until the benchmark's peak RSS stops
-    growing with its op count: any speed-up of its small-instance workload
-    now shows as more RSS (ROADMAP.md, items 1 and 3).
+    The rest of Cohen's SWAP step (updating mu[i][k-1] and mu[i][k] for the
+    rows i > k), in-place mu updates on size reduction, and integral LLL
+    (Cohen, Alg. 2.6.7) would do less still.  They wait until the
+    benchmark's peak RSS stops growing with its op count: it keeps every
+    op's output, so a faster LLL shows as more RSS on its small-instance
+    workload.  Measured in 50 s benchmark pairs, the full SWAP step raised
+    that peak RSS by 14.2% and 21.1% and the integral LLL by 77%, against
+    a 15% bound; this swapped-pair update alone raised it by 4.5% in the
+    median of ten pairs, 9.9% at most (ROADMAP.md, items 1 and 3).
     """
     rows = [list(r) for r in basis]
     m = len(rows)
@@ -277,6 +308,8 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     width = len(rows[0])
     for r in rows:
         _check_dim(r, width)
+        for x in r:
+            _check_int(x, "row entry")
     gs = _gram_schmidt(rows, 0, 1)
     mu, norm2, _ = gs
     k, k_max = 1, 0
@@ -293,7 +326,7 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
-            _gram_schmidt(rows, k - 1, k + 1, gs)
+            _swap_gram_schmidt(k, gs)
             k_max = k
             k = k - 1 if k > 1 else 1
     return tuple(tuple(r) for r in rows)

@@ -3,6 +3,7 @@ degree solutions, kernel lattice bases, and rational LLL."""
 
 from __future__ import annotations
 
+import os
 import random
 from math import gcd
 
@@ -218,6 +219,21 @@ def test_lll_matches_the_full_recompute_reference(pool):
         assert lll_reduce(rows) == reference_lll(rows), entries
 
 
+@pytest.mark.skipif(
+    not os.environ.get("FROBGB_STRETCH"),
+    reason="stretch scale check; set FROBGB_STRETCH=1 to run",
+)
+def test_stretch_lll_matches_the_reference_at_a_thousand_digits():
+    # the swap formulas divide Fractions of thousands of bits here; the
+    # rows must still equal those of the full recompute after every step
+    rng = random.Random(SEED + 8)
+    entries = random_weights(rng, 4, 4, 10**999, 10**1000 - 1)
+    rows = kernel_basis(Weights(entries))
+    red = lll_reduce(rows)
+    assert red == reference_lll(rows)
+    assert max(abs(x) for r in red for x in r) < max(abs(x) for r in rows for x in r)
+
+
 def test_lll_rejects_dependent_rows():
     with pytest.raises(ValueError):
         lll_reduce(((1, 2), (2, 4)))
@@ -244,12 +260,15 @@ def test_lll_rejects_a_dependent_row_the_loop_reaches_late():
 def test_lll_computes_gram_schmidt_rows_only_as_it_reaches_them(monkeypatch):
     # the rows are identical whether a step recomputes only the rows it
     # changed or every row below them, so only this count tells them apart
-    # (recomputing every row from the first one a step changes gives 2,466)
+    # (recomputing every row from the first one a step changes gives 2,466,
+    # and recomputing both rows of a swap 1,433); a swap updates its pair
+    # in place, so every call computes exactly one row
     computed = 0
     gram_schmidt = frobgb.arith._gram_schmidt
 
     def counting(rows, start, stop, gs=None):
         nonlocal computed
+        assert stop - start == 1
         computed += stop - start
         return gram_schmidt(rows, start, stop, gs)
 
@@ -258,7 +277,7 @@ def test_lll_computes_gram_schmidt_rows_only_as_it_reaches_them(monkeypatch):
     assert len(ladder) == 21
     for entries in ladder:
         lll_reduce(kernel_basis(Weights(entries)))
-    assert computed == 1433
+    assert computed == 759
 
 
 def test_lll_trivial_inputs():

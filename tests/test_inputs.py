@@ -1,15 +1,17 @@
 """The input rules of the public entry points, each checked in one place.
 
 An exponent vector has the dimension of its ring and no negative entry
-(arith._check_exponents, which runs arith._check_dim), and a degree t is an
-int and not a bool (arith._check_int).  Every entry point that takes one
-raises the same ValueError with the same message.
+(arith._check_exponents, which runs arith._check_dim), and a degree t and
+every entry of a lattice row are ints and not bools (arith._check_int).
+Every entry point that takes one raises the same ValueError with the same
+message.
 """
 
 from __future__ import annotations
 
 import ast
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,7 +21,9 @@ from frobgb import (
     Binomial,
     GroebnerBasis,
     MonomialIdeal,
+    OrderConfig,
     Solution,
+    Weights,
     compare,
     component_ideal,
     contains_monomial,
@@ -27,6 +31,8 @@ from frobgb import (
     hilbert_value,
     initial_ideal,
     is_representable,
+    lattice_groebner,
+    lll_reduce,
     normal_form,
     solve_degree,
     validate_basis,
@@ -94,6 +100,27 @@ def test_degrees_have_one_integer_rule(sol, name, t):
     # the integer rule comes before any test of the sign of t
     with pytest.raises(ValueError, match=re.escape(f"t {t!r} is not an integer")):
         DEGREE_ENTRY_POINTS[name](sol, t)
+
+
+@pytest.mark.parametrize(
+    "rows, bad",
+    [
+        (((1.5, 2.0), (3.0, 1.0)), 1.5),
+        (((1, 2), (3, True)), True),
+        (((1, 2), (Fraction(3), 1)), Fraction(3)),
+    ],
+)
+def test_lll_rows_have_the_integer_rule(rows, bad):
+    with pytest.raises(ValueError, match=re.escape(f"row entry {bad!r} is not an integer")):
+        lll_reduce(rows)
+
+
+def test_lattice_groebner_rows_have_the_integer_rule():
+    # float kernel rows pass the degree check (their degree is 0.0 == 0),
+    # so the rule must hold before any Buchberger run sees them
+    rows = ((5.0, -3.0, 0.0), (0.0, 3.0, -2.0))
+    with pytest.raises(ValueError, match=re.escape("row entry 5.0 is not an integer")):
+        lattice_groebner((6, 10, 15), rows, OrderConfig(Weights((6, 10, 15))))
 
 
 @pytest.mark.parametrize(
