@@ -2,8 +2,9 @@
 kernel lattice bases, and rational-arithmetic LLL reduction.
 
 LLL keeps exact Fraction Gram-Schmidt data for rows 0..k_max only, the rows
-its loop has reached.  A swap updates the data of the swapped pair in place;
-a size reduction recomputes its row.  It is not the integral LLL; see
+its loop has reached, in lists it allocates once.  A swap updates the data
+of the swapped pair in place; a size reduction recomputes its row, and
+every recomputation is of one row.  It is not the integral LLL; see
 lll_reduce.
 
 Exponent vectors and lattice vectors are plain ``tuple[int, ...]``.  Python
@@ -110,8 +111,11 @@ def _check_dim(v: Vector, n: int) -> None:
 
 
 def _check_exponents(v: Vector, n: int) -> None:
-    """The one check of an exponent vector: n entries, none negative."""
+    """The one check of an exponent vector: n entries, each an int and none
+    negative."""
     _check_dim(v, n)
+    for x in v:
+        _check_int(x, "exponent")
     if any(x < 0 for x in v):
         raise ValueError(f"exponent vector {v} has a negative entry")
 
@@ -218,40 +222,31 @@ def kernel_basis(p: Weights) -> tuple[Vector, ...]:
     return rows
 
 
-def _gram_schmidt(rows, start: int, stop: int, gs=None):
-    """Exact Gram-Schmidt data (mu, norm2, star) of rows start..stop-1 over
-    Fractions; raises on linearly dependent rows.
+def _gram_schmidt(rows, k: int, mu, norm2, star) -> None:
+    """Row k's exact Gram-Schmidt data over Fractions, written into mu[k],
+    norm2[k] and star[k]; raises on a row dependent on rows 0..k-1.
 
-    Row i's data depends only on rows 0..i, so with gs from an earlier call
-    on rows that agree above start, only rows start..stop-1 are computed, in
-    place; the rows above keep their data.
+    Row k's data depends only on rows 0..k, so the rows above keep theirs.
     """
-    m = len(rows)
-    if gs is None:
-        gs = [[Fraction(0)] * m for _ in range(m)], [None] * m, [None] * m
-    mu, norm2, star = gs
-    for i in range(start, stop):
-        row = rows[i]
-        b = [Fraction(x) for x in row]
-        for j in range(i):
-            mu[i][j] = sum(Fraction(x) * y for x, y in zip(row, star[j])) / norm2[j]
-            b = [a - mu[i][j] * c for a, c in zip(b, star[j])]
-        n2 = sum(x * x for x in b)
-        if n2 == 0:
-            raise ValueError("basis rows are linearly dependent")
-        star[i] = b
-        norm2[i] = n2
-    return gs
+    row = rows[k]
+    b = [Fraction(x) for x in row]
+    for j in range(k):
+        mu[k][j] = sum(Fraction(x) * y for x, y in zip(row, star[j])) / norm2[j]
+        b = [a - mu[k][j] * c for a, c in zip(b, star[j])]
+    n2 = sum(x * x for x in b)
+    if n2 == 0:
+        raise ValueError("basis rows are linearly dependent")
+    star[k] = b
+    norm2[k] = n2
 
 
-def _swap_gram_schmidt(k: int, gs) -> None:
-    """Update gs in place for rows k-1 and k swapped (Cohen 1993, Alg.
-    2.6.3, SWAP, without its loop over the rows i > k).
+def _swap_gram_schmidt(k: int, mu, norm2, star) -> None:
+    """Update the data in place for rows k-1 and k swapped (Cohen 1993,
+    Alg. 2.6.3, SWAP, without its loop over the rows i > k).
 
     Only the data of rows k-1 and k changes, and rows 0..k are independent,
     so the new norm2[k-1] is positive.
     """
-    mu, norm2, star = gs
     u = mu[k][k - 1]
     b = norm2[k] + u * u * norm2[k - 1]
     v = u * norm2[k - 1] / b
@@ -291,15 +286,10 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
     is exact, so the steps and the output are those of a full recomputation
     after every step (tests/helpers.reference_lll).
 
-    The rest of Cohen's SWAP step (updating mu[i][k-1] and mu[i][k] for the
-    rows i > k), in-place mu updates on size reduction, and integral LLL
-    (Cohen, Alg. 2.6.7) would do less still.  They wait until the
-    benchmark's peak RSS stops growing with its op count: it keeps every
-    op's output, so a faster LLL shows as more RSS on its small-instance
-    workload.  Measured in 50 s benchmark pairs, the full SWAP step raised
-    that peak RSS by 14.2% and 21.1% and the integral LLL by 77%, against
-    a 15% bound; this swapped-pair update alone raised it by 4.5% in the
-    median of ten pairs, 9.9% at most (ROADMAP.md, items 1 and 3).
+    The rest of Cohen's SWAP step, in-place mu updates on size reduction
+    and integral LLL (Cohen, Alg. 2.6.7) would do less still, but a faster
+    LLL raises the benchmark's peak RSS past its bound until the benchmark
+    stops keeping every op's output (ROADMAP.md, item 3).
     """
     rows = [list(r) for r in basis]
     m = len(rows)
@@ -310,23 +300,24 @@ def lll_reduce(basis) -> tuple[Vector, ...]:
         _check_dim(r, width)
         for x in r:
             _check_int(x, "row entry")
-    gs = _gram_schmidt(rows, 0, 1)
-    mu, norm2, _ = gs
+    mu = [[Fraction(0)] * m for _ in range(m)]
+    norm2, star = [None] * m, [None] * m
+    _gram_schmidt(rows, 0, mu, norm2, star)
     k, k_max = 1, 0
     while k < m:
         if k > k_max:
-            _gram_schmidt(rows, k, k + 1, gs)
+            _gram_schmidt(rows, k, mu, norm2, star)
             k_max = k
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 rows[k] = [a - q * b for a, b in zip(rows[k], rows[j])]
-                _gram_schmidt(rows, k, k + 1, gs)
+                _gram_schmidt(rows, k, mu, norm2, star)
         if norm2[k] >= (LLL_DELTA - mu[k][k - 1] ** 2) * norm2[k - 1]:
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
-            _swap_gram_schmidt(k, gs)
+            _swap_gram_schmidt(k, mu, norm2, star)
             k_max = k
             k = k - 1 if k > 1 else 1
     return tuple(tuple(r) for r in rows)

@@ -69,8 +69,8 @@ given, so every run starts from reduced rows; it runs the first variable
 of this order and then x_1, so the second run is in the target order, and
 counts.  When the count is not p_1 it saturates the rest of the order but
 its second variable, then runs x_1 again: n runs in all for n >= 4.
-For n <= 3 the two runs already saturate all variables but one, so no
-third run is needed, but validate_basis still takes the count.  On LLL rows
+For n <= 3 the two runs already saturate all variables but one, so the
+count certifies them and no third run is taken.  On LLL rows
 of 160 seeded random inputs (n = 3..6, 2 to 8 digits, half with one weight
 <= 30, x_1 cheapest) none ran past a 3 s limit.  All 21 fstar-n56
 benchmark instances and all 40 cli-small instances take two runs.
@@ -105,7 +105,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 from heapq import heappop, heappush
-from operator import add, mul, neg
+from operator import add
 
 from .arith import (
     Vector,
@@ -294,8 +294,10 @@ def _buchberger(gens, weights: Weights, var: int):
     The run works in permuted coordinates: the order's revlex scan
     (order._scan_order(n, var)) comes first, so two monomials of one degree
     compare as plain tuples, the larger monomial being the smaller tuple,
-    and both sides of a binomial have one degree.  The result is permuted
-    back.
+    and both sides of a binomial have one degree.  In these coordinates the
+    order with x_var cheapest is the target order of the permuted weights,
+    so the queue and the final sort read its OrderConfig.sort_key.  The
+    result is permuted back.
 
     Every insertion of an element k runs the Gebauer-Moeller update on the
     new pairs only:
@@ -325,26 +327,21 @@ def _buchberger(gens, weights: Weights, var: int):
     The inputs enter first, in the order given: LLL-reduced rows or the
     basis of the previous run (lattice_groebner).  The S-pairs then wait in
     the pair queue in ascending term order of the lcm of their heads (ties
-    by the indices), as (degree, negated lcm, i, k, lcm).  The order is
+    by the indices), as (sort_key(lcm), i, k, lcm).  The order is
     degree-first and the binomials are homogeneous, so an S-pair enters
     only after every S-pair of lower degree has.  At the end every tail is
     reduced to its normal form by the basis, which gives the reduced basis.
     """
     scan = _scan_order(weights.n, var)
-    p = [weights.entries[j] for j in scan]
-    n = len(p)
-
-    def key(m: Vector) -> tuple:
-        # OrderConfig.sort_key in the permuted coordinates
-        return sum(map(mul, m, p)), tuple(map(neg, m))
-
+    sort_key = OrderConfig(Weights(tuple(weights.entries[j] for j in scan))).sort_key
+    n = len(scan)
     heads: list[Vector] = []
     steps: list[Vector] = []  # tail - head of every element
     active: list[tuple[int, int]] = []  # (index, packed head) of the current basis
     reducers: list = []  # their reducer data, in the same order
     width = guards = 0  # the packing of the active heads
-    # (degree, negated lcm, i, j, lcm) for the pair (i, j); (i, j) is
-    # unique, so no lcm is compared
+    # (sort_key(lcm), i, j, lcm) for the pair (i, j); (i, j) is unique,
+    # so no lcm is compared
     heap: list = []
 
     def insert(h: Vector, t: Vector) -> None:
@@ -382,7 +379,7 @@ def _buchberger(gens, weights: Weights, var: int):
         for _, i, coprime in groups:
             if not coprime:
                 lcm = tuple(map(max, heads[i], h))
-                heappush(heap, (*key(lcm), i, k, lcm))
+                heappush(heap, (sort_key(lcm), i, k, lcm))
 
         reducer = _reducer(h, t)
         active = [(i, pi) for i, pi, _ in kept] + [(k, ph)]
@@ -403,23 +400,15 @@ def _buchberger(gens, weights: Weights, var: int):
     for u, v in gens:
         enter(*_strip(tuple(u[j] for j in scan), tuple(v[j] for j in scan)))
     while heap:
-        _, _, i, j, lcm = heappop(heap)
+        _, i, j, lcm = heappop(heap)
         enter(tuple(map(add, lcm, steps[i])), tuple(map(add, lcm, steps[j])))
     back = [scan.index(j) for j in range(n)]
     out = []
-    for i in sorted((i for i, _ in active), key=lambda i: key(heads[i])):
+    for i in sorted((i for i, _ in active), key=lambda i: sort_key(heads[i])):
         h = heads[i]
         t = _nf_monomial(tuple(map(add, h, steps[i])), reducers)
         out.append((tuple(h[j] for j in back), tuple(t[j] for j in back)))
     return out
-
-
-def _saturate(cur, passes, weights: Weights):
-    """One Buchberger run per variable of passes, each in the order that
-    makes that variable cheapest; returns the last run's reduced basis."""
-    for var in passes:
-        cur = _buchberger(cur, weights, var)
-    return cur
 
 
 def lattice_groebner(
@@ -433,14 +422,17 @@ def lattice_groebner(
     weighted degree 0 each.  They are LLL-reduced first (arith.lll_reduce,
     which raises on dependent rows and returns reduced rows unchanged), so
     unreduced rows give the same basis.  Solution passes the kernel rows as
-    they are, so this is the one reduction per basis.  Two Buchberger runs
-    come first, on the reduced rows: one with the variable of largest row
-    degree among x_2, ..., x_n cheapest, then one in the target order,
-    with x_1 cheapest.  Their ideal J is inside I_L, and J = I_L exactly
+    they are, so this is the one reduction per basis; it also applies the
+    integer rule to every entry, before the degree check.
+
+    One loop runs two schedules of Buchberger runs, each followed by a run
+    in the target order, with x_1 cheapest: first the variable of largest
+    row degree among x_2, ..., x_n, then the rest of that row-degree order
+    but its second variable.  After each schedule the ideal J of the basis
+    is inside I_L, and the loop stops once J = I_L, which holds exactly
     when the x_1-free monomials outside the head ideal number p_1 (the
-    Apery count).  When the count differs, the other variables but the
-    second of the row-degree order are saturated and x_1 runs again, which
-    already gives I_L.  The module docstring has the proofs of both steps.
+    Apery count); after the second schedule it always does.  For n = 1
+    the one run is on x_1.  The module docstring has the proofs.
     """
     p = as_weights(p)
     if cfg.weights != p:
@@ -449,22 +441,23 @@ def lattice_groebner(
     rows = [tuple(r) for r in basis_rows]
     if len(rows) != n - 1:
         raise ValueError(f"expected {n - 1} basis rows, got {len(rows)}")
+    reduced = lll_reduce(rows)  # the integer rule; raises on dependent rows
     for r in rows:
         if pdegree(r, p) != 0:
             raise ValueError(f"basis row {r} is not homogeneous: degree {pdegree(r, p)}")
-    rows = lll_reduce(rows)  # raises on linearly dependent rows
 
     passes = sorted(
         range(2, n + 1),
-        key=lambda v: -p.entries[v - 1] * max(abs(r[v - 1]) for r in rows),
+        key=lambda v: -p.entries[v - 1] * max(abs(r[v - 1]) for r in reduced),
     )
-    cur = [(positive_part(r), negative_part(r)) for r in rows]
-    cur = _saturate(cur, passes[:1] + [1], p)
-    basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
-    rest = passes[2:]  # the second variable is never saturated
-    if rest and basis._staircase[0] != p.entries[0]:
-        cur = _saturate(cur, rest + [1], p)
+    cur = [(positive_part(r), negative_part(r)) for r in reduced]
+    # the second variable of passes is never saturated
+    for schedule in (passes[:1], passes[2:]):
+        for var in schedule + [1]:
+            cur = _buchberger(cur, p, var)
         basis = GroebnerBasis(tuple(Binomial(h, t) for h, t in cur), cfg)
+        if basis._staircase[0] == p.entries[0]:
+            break
     validate_basis(basis)  # on the certified path it reads the count taken above
     return basis
 

@@ -575,6 +575,15 @@ def test_certified_saturation_takes_two_runs(buchberger_runs):
                 assert [(g.head, g.tail) for g in G.elements] == expected, (q, q_rows)
 
 
+def test_one_weight_takes_one_run_on_x1(buchberger_runs):
+    # n = 1 has no kernel rows and no other variable to saturate, so the
+    # first schedule is the x_1 run alone, and the empty basis it gives
+    # leaves p_1 = 1 standard monomial, which certifies it
+    G = lattice_groebner((1,), (), OrderConfig(Weights((1,))))
+    assert buchberger_runs == [1]
+    assert G.elements == ()
+
+
 # Inputs whose two runs leave an Apery count above p_1, on LLL rows, with
 # the Buchberger runs they take.
 UNCERTIFIED = [((713, 9905, 8871, 6232, 7073), [4, 1, 3, 5, 1]),

@@ -1,8 +1,9 @@
 """The input rules of the public entry points, each checked in one place.
 
 An exponent vector has the dimension of its ring and no negative entry
-(arith._check_exponents, which runs arith._check_dim), and a degree t and
-every entry of a lattice row are ints and not bools (arith._check_int).
+(arith._check_exponents, which runs arith._check_dim).  A degree t and
+every entry of an exponent vector or a lattice row is an int and not a bool
+(arith._check_int).
 Every entry point that takes one raises the same ValueError with the same
 message.
 """
@@ -76,6 +77,10 @@ def test_exponent_vectors_have_one_rule(sol, name):
         call(sol, (1, 2))
     with pytest.raises(ValueError, match=re.escape("(0, -1, 2) has a negative entry")):
         call(sol, (0, -1, 2))
+    with pytest.raises(ValueError, match=re.escape("exponent 1.5 is not an integer")):
+        call(sol, (0, 1.5, 0))
+    with pytest.raises(ValueError, match=re.escape("exponent True is not an integer")):
+        call(sol, (0, True, 0))
 
 
 def test_component_ideal_has_the_negative_entry_rule():
@@ -116,11 +121,18 @@ def test_lll_rows_have_the_integer_rule(rows, bad):
 
 
 def test_lattice_groebner_rows_have_the_integer_rule():
-    # float kernel rows pass the degree check (their degree is 0.0 == 0),
-    # so the rule must hold before any Buchberger run sees them
-    rows = ((5.0, -3.0, 0.0), (0.0, 3.0, -2.0))
-    with pytest.raises(ValueError, match=re.escape("row entry 5.0 is not an integer")):
-        lattice_groebner((6, 10, 15), rows, OrderConfig(Weights((6, 10, 15))))
+    for p, rows, bad in [
+        # float kernel rows pass the degree check (their degree is 0.0 == 0),
+        # so the rule must hold before any Buchberger run sees them
+        ((6, 10, 15), ((5.0, -3.0, 0.0), (0.0, 3.0, -2.0)), 5.0),
+        # and it comes before the degree check, which would call these rows
+        # inhomogeneous or fail to multiply them
+        ((2, 3), ((3.5, -2),), 3.5),
+        ((2, 3), ((True, 0),), True),
+        ((2, 3), (("a", "b"),), "a"),
+    ]:
+        with pytest.raises(ValueError, match=re.escape(f"row entry {bad!r} is not an integer")):
+            lattice_groebner(p, rows, OrderConfig(Weights(p)))
 
 
 @pytest.mark.parametrize(
